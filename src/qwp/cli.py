@@ -347,7 +347,7 @@ def _cmd_grading_degree(args, config, q0):
         "printed": str(element),
         "homogeneous": d is not INHOMOGENEOUS,
         "degree": None if d is INHOMOGENEOUS else d,
-        "components": {str(k): str(v) for k, v in sorted(components.items())},
+        "components": {str(k): str(v) for k, v in components.items()},
     }
     return report, 0
 

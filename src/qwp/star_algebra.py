@@ -14,6 +14,18 @@ in descending index order, and min(a_n, b_n) = 0.  In the Σ presentation
 z_n* is eliminated via z_n* = w z_n, the central w exponent s ranges over
 Z, and z_n^2 rewrites to w^-1 (1 - sum_{j<n} z_j z_j*), so a_n ∈ {0, 1}.
 
+The last two relations together give, for i < n, the lower-index rule
+
+    z_i* z_i -> q^-2 z_i z_i* - (q^-2 - 1) + (q^-2 - 1) sum_{j<i} z_j z_j*
+
+(and z_n* z_n -> z_n z_n*), so no rule branches into higher indices.  Every
+rule lowers, lexicographically, the tuple (word length, number of z_n and
+z_n* letters, number of z*-before-z pairs, number of out-of-order pairs of
+z letters or of z* letters), so rewriting terminates.  The irreducible
+words, a basis of the algebra, depend only on the left-hand sides, so a
+right-hand side that holds in the algebra changes no normal form
+(Bergman's diamond lemma).
+
 Elements are finite Q(q)-linear combinations of normal-form monomials;
 all arithmetic routes through the rewriting engine, which supports both a
 deterministic leftmost strategy and a seeded random-position strategy (the
@@ -30,7 +42,8 @@ from qwp.scalar import QScalar
 
 Q = QScalar.q()
 Q_INV = QScalar.q(-1)
-QINV2_M1 = QScalar.q(-2) - 1  # the (q^-2 - 1) coefficient of the zz* relation
+Q_INV2 = QScalar.q(-2)
+QINV2_M1 = Q_INV2 - 1  # the (q^-2 - 1) coefficient of the zz* relation
 ONE = QScalar.one()
 
 
@@ -177,24 +190,6 @@ def _reducible_positions(pres, word):
     return out
 
 
-def _first_reducible(pres, word):
-    """Leftmost redex position, or -1; same patterns as _reducible_positions."""
-    n = pres.n
-    sigma = pres.kind == "sigma"
-    for t in range(len(word) - 1):
-        k1, i1 = word[t]
-        k2, i2 = word[t + 1]
-        if k1 == "z":
-            if k2 == "z":
-                if i1 > i2 or (sigma and i1 == n and i2 == n):
-                    return t
-            elif i1 == n and i2 == n:
-                return t
-        elif k2 == "z" or i1 < i2:
-            return t
-    return -1
-
-
 def _apply_rule(pres, word, s, t):
     """Expand the redex at position t; yields (factor, new_word, new_s)."""
     n = pres.n
@@ -221,11 +216,11 @@ def _apply_rule(pres, word, s, t):
             yield Q_INV, head + (g2, g1) + tail, s
         elif i1 == n:  # z_n* z_n -> z_n z_n* (empty higher sum)
             yield ONE, head + (g2, g1) + tail, s
-        else:
-            yield ONE, head + (g2, g1) + tail, s
-            for j in range(i1 + 1, n + 1):
-                zj_pair = _ingest(pres, (z(j), z_star(j)))
-                yield -QINV2_M1, head + zj_pair[0] + tail, s + zj_pair[1]
+        else:  # z_i* z_i -> q^-2 z_i z_i* - (q^-2-1) + (q^-2-1) sum_{j<i} z_j z_j*
+            yield Q_INV2, head + (g2, g1) + tail, s
+            yield -QINV2_M1, head + tail, s
+            for j in range(i1):
+                yield QINV2_M1, head + (z(j), z_star(j)) + tail, s
 
 
 def _chase(pres, word, s):
@@ -301,130 +296,44 @@ def _word_to_monomial(pres, word, s):
     return Monomial(tuple(a), tuple(b), s)
 
 
-def _is_normal(pres, word):
-    return _first_reducible(pres, word) < 0
-
-
-def _rewrite(pres, terms, strategy="leftmost", rng=None):
-    """Exhaustively rewrite a {(word, s): coeff} map to normal form."""
-    if strategy == "leftmost":
-        return _rewrite_leftmost(pres, terms)
-    if strategy == "random":
-        return _rewrite_random(pres, terms, rng or random.Random(0))
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _rewrite_leftmost(pres, terms):
-    """Leftmost rewriting with per-call memoization.
-
-    Normal forms of intermediate words are cached for the duration of the
-    call, so branches that reconverge on the same word are expanded once
-    instead of once per path.  Only branch sites become cache nodes;
-    single-branch rule chains are followed inline by the chase.
-    """
-    memo = {}
-    raw = {}    # key -> branch list: branch site found, not yet expanded
-    edges = {}  # key -> [(factor, child key)]: expanded, children pending
-    todo = []
+def _leftmost(pres, memo, register):
+    """Leftmost redexes; single-branch rules are followed inline by the chase."""
 
     def intern(word, s):
-        # Registers the word for normalization; returns (factor, key).
         k, word, s, t = _chase(pres, word, s)
-        fac = _qinv_pow(k) if k else ONE
         key = (word, s)
-        if key in memo or key in raw or key in edges:
-            return fac, key
-        if t < 0:
-            memo[key] = {_word_to_monomial(pres, word, s): ONE}
-        else:
-            raw[key] = list(_apply_rule(pres, word, s, t))
-            todo.append(key)
-        return fac, key
+        if key not in memo:
+            register(key, word, s, list(_apply_rule(pres, word, s, t)) if t >= 0 else None)
+        return (_qinv_pow(k) if k else ONE), key
 
-    roots = []
-    for (word, s), coeff in terms.items():
-        if coeff:
-            fac, key = intern(word, s)
-            roots.append((coeff * fac if fac is not ONE else coeff, key))
-
-    while todo:
-        key = todo[-1]
-        if key in memo:
-            todo.pop()
-            continue
-        if key in raw:
-            out = []
-            for rf, new_word, new_s in raw.pop(key):
-                fac, child = intern(new_word, new_s)
-                out.append((rf * fac if fac is not ONE else rf, child))
-            edges[key] = out
-            continue
-        out = edges[key]
-        missing = [child for _, child in out if child not in memo]
-        if missing:
-            todo.extend(missing)
-            continue
-        nf = {}
-        for fac, child in out:
-            for mon, c in memo[child].items():
-                fc = c if fac is ONE else fac * c
-                acc = nf.get(mon)
-                acc = fc if acc is None else acc + fc
-                if acc:
-                    nf[mon] = acc
-                elif mon in nf:
-                    del nf[mon]
-        del edges[key]
-        memo[key] = nf
-        todo.pop()
-
-    result = {}
-    for coeff, key in roots:
-        for mon, c in memo[key].items():
-            fc = coeff * c
-            acc = result.get(mon)
-            acc = fc if acc is None else acc + fc
-            if acc:
-                result[mon] = acc
-            elif mon in result:
-                del result[mon]
-    return result
+    return intern
 
 
-def _rewrite_random(pres, terms, rng):
-    """Rewriting by a randomly chosen redex at each step.
+def _random_walk(pres, rng, memo, register):
+    """A randomly chosen redex at each step.
 
-    Memoized like the leftmost engine; a word met twice reuses the redex
-    choices made on first contact.  Chains of single-branch applications
-    are walked inline and recorded in a side table.
+    A word met twice reuses the redex choices made on first contact: chains
+    of single-branch applications are walked inline and recorded in a side
+    table.
     """
-    memo = {}
-    raw = {}       # key -> branch list: branch site found, not yet expanded
-    edges = {}     # key -> [(factor, child key)]: expanded, children pending
     walkmemo = {}  # key -> (factor, key of the walk's end)
-    todo = []
 
     def intern(word, s):
-        # Registers the word for normalization; returns (factor, key).
         trail = []
         while True:
             key = (word, s)
             if key in walkmemo:
                 sfx, final = walkmemo[key]
                 break
-            if key in memo or key in raw or key in edges:
-                sfx, final = ONE, key
+            sfx, final = ONE, key
+            if key in memo:
                 break
             positions = _reducible_positions(pres, word)
-            if not positions:
-                memo[key] = {_word_to_monomial(pres, word, s): ONE}
-                sfx, final = ONE, key
-                break
-            branches = list(_apply_rule(pres, word, s, rng.choice(positions)))
-            if len(branches) > 1:
-                raw[key] = branches
-                todo.append(key)
-                sfx, final = ONE, key
+            branches = None
+            if positions:
+                branches = list(_apply_rule(pres, word, s, rng.choice(positions)))
+            if not branches or len(branches) > 1:
+                register(key, word, s, branches)
                 break
             f, word, s = branches[0]
             trail.append((key, f))
@@ -433,6 +342,40 @@ def _rewrite_random(pres, terms, rng):
             walkmemo[wkey] = (sfx, final)
         return sfx, final
 
+    return intern
+
+
+def _rewrite(pres, terms, strategy="leftmost", rng=None):
+    """Exhaustively rewrite a {(word, s): coeff} map to normal form.
+
+    Normal forms of intermediate words are cached for the duration of the
+    call, so branches that reconverge on the same word are expanded once
+    instead of once per path.  The strategy's intern function chooses the
+    redexes: it follows single-branch rule chains inline and registers the
+    word it stops at, a branch site or a normal word, returning
+    (factor, key) with word = factor * key's word modulo the relations.
+    Only branch sites become nodes of the evaluation DAG.
+    """
+    memo = {}   # key -> normal form; None while a branch site is pending
+    raw = {}    # key -> branch list: branch site found, not yet expanded
+    edges = {}  # key -> [(factor, child key)]: expanded, children pending
+    todo = []
+
+    def register(key, word, s, branches):
+        if branches:
+            memo[key] = None
+            raw[key] = branches
+            todo.append(key)
+        else:
+            memo[key] = {_word_to_monomial(pres, word, s): ONE}
+
+    if strategy == "leftmost":
+        intern = _leftmost(pres, memo, register)
+    elif strategy == "random":
+        intern = _random_walk(pres, rng or random.Random(0), memo, register)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+
     roots = []
     for (word, s), coeff in terms.items():
         if coeff:
@@ -441,7 +384,7 @@ def _rewrite_random(pres, terms, rng):
 
     while todo:
         key = todo[-1]
-        if key in memo:
+        if memo[key] is not None:
             todo.pop()
             continue
         if key in raw:
@@ -452,7 +395,7 @@ def _rewrite_random(pres, terms, rng):
             edges[key] = out
             continue
         out = edges[key]
-        missing = [child for _, child in out if child not in memo]
+        missing = [child for _, child in out if memo[child] is None]
         if missing:
             todo.extend(missing)
             continue

@@ -1,6 +1,8 @@
 """Rewriting engine: relation soundness, normal forms, involution, named elements."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,22 @@ def test_strategy_independence_sample():
         left = normalize(word, pres, strategy="leftmost")
         rand = normalize(word, pres, strategy="random", rng=random.Random(trial))
         assert left == rand, f"strategies disagree on {word}"
+
+
+def _letter(token):
+    if token in ("w", "w*"):
+        return Generator(token, -1)
+    return Generator("z*" if token.endswith("*") else "z", int(token[1:].rstrip("*")))
+
+
+def test_recorded_normal_form_corpus():
+    corpus = json.loads((Path(__file__).parent / "data" / "normal_forms.json").read_text())
+    for trial, entry in enumerate(corpus["entries"]):
+        pres = AlgebraPresentation(*entry["presentation"])
+        word = [_letter(t) for t in entry["word"].split()]
+        for strategy in ("leftmost", "random"):
+            nf = normalize(word, pres, strategy=strategy, rng=random.Random(trial))
+            assert str(nf) == entry["normal_form"], f"{strategy} differs on {entry['word']}"
 
 
 def test_sigma_zstar_n_elimination():
