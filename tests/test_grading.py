@@ -1,8 +1,10 @@
 """Weighted degrees, homogeneous splitting, and strong-grading certificates."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -515,3 +517,38 @@ def test_resolution_json_round_trip():
     assert back.pairs == r.pairs
     with pytest.raises(ValueError):
         ResolutionOfIdentity.from_json(r.to_json(), pres=S2)
+
+
+# -- recorded corpus ---------------------------------------------------------
+
+
+def _certificate_text(r):
+    return "\n".join([f"target {r.target}"] + [f"{a} ; {b}" for a, b in r.pairs])
+
+
+def _build_recorded(spec):
+    if spec[0] == "bezout":
+        _, n, N, t = spec
+        return [bezout_lens_resolution(N, n, (1,) * (n + 1), target=t)]
+    if spec[0] == "weighted":
+        w = tuple(spec[1:])
+        out = weighted_resolution(w, pres=AlgebraPresentation.sphere(len(w) - 1))
+        return [out["res_plus"], out["res_minus"]]
+    _, kind, m = spec
+    pres = AlgebraPresentation(kind, 1)
+    w = (1, m)
+    cyclic = {
+        "res_plus": bezout_lens_resolution(m, 1, w, target=1, pres=pres),
+        "res_minus": bezout_lens_resolution(m, 1, w, target=-1, pres=pres),
+    }
+    out = compose_tower_resolutions(
+        TowerSpec(m), weighted_resolution(w, pres=pres), cyclic, GradingSpec(pres, w)
+    )
+    return [out["res_plus"], out["res_minus"]]
+
+
+def test_recorded_certificate_corpus():
+    corpus = json.loads((Path(__file__).parent / "data" / "certificates.json").read_text())
+    for entry in corpus["entries"]:
+        printed = [_certificate_text(r) for r in _build_recorded(entry["spec"])]
+        assert printed == entry["certificates"], f"certificate differs for {entry['spec']}"
