@@ -593,14 +593,6 @@ def _verdict(name, cases, failures, **extra):
     return report
 
 
-def _pairwise_coprime(weights):
-    return all(
-        math.gcd(weights[i], weights[j]) == 1
-        for i in range(len(weights))
-        for j in range(i + 1, len(weights))
-    )
-
-
 def check_kernel_rank_formula(config):
     """Lens K1 rank equals the gcd sum formula on an exhaustive small sweep."""
     cases = 0
@@ -608,10 +600,11 @@ def check_kernel_rank_formula(config):
     for n in (1, 2, 3):
         for N in range(1, 7):
             for m in product(range(N), repeat=n + 1):
-                if not _pairwise_coprime(m):
+                lens = LensDescriptor(N, m)
+                if not lens.pairwise_coprime:
                     continue
                 cases += 1
-                out = lens_k_groups(LensDescriptor(N, m))
+                out = lens_k_groups(lens)
                 expected = sum(math.gcd(N, mi) for mi in m) - n
                 if out["K1"].rank != expected or not out["formula_check"]["matches"]:
                     failures.append(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from qwp.scalar import QScalar
+from qwp.scalar import QScalar, _peval, _pmul, _pscale, _psub, _trim
 from qwp.star_algebra import (
     AlgebraElement,
     AlgebraPresentation,
@@ -219,94 +219,38 @@ def compose_resolutions(r1, r2, g):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q(q): coefficient lists, low degree first
+# Bezout cofactors over Q(q)[t] without Euclid (polynomials are scalar.py
+# coefficient tuples, low degree first, with QScalar entries)
 
 
-def _qtrim(p):
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
+def _series_quotient(num, den, L):
+    """num/den as a power series, truncated below degree L <= len(num); den(0) != 0."""
+    inv = _ONE / den[0]
+    out = []
+    for k in range(L):
+        acc = num[k]
+        for i in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[i] * out[k - i]
+        out.append(acc * inv)
+    return _trim(out)
 
 
-def _qadd(p, r):
-    out = list(p) + [QScalar.zero()] * (len(r) - len(p))
-    for i, c in enumerate(r):
-        out[i] = out[i] + c
-    return _qtrim(out)
+def _linear_cofactors(prod, lin):
+    """(c, f) with c*prod + f*lin = 1 for a linear lin = (l0, l1) coprime to prod.
 
-
-def _qsub(p, r):
-    out = list(p) + [QScalar.zero()] * (len(r) - len(p))
-    for i, c in enumerate(r):
-        out[i] = out[i] - c
-    return _qtrim(out)
-
-
-def _qmul(p, r):
-    if not p or not r:
-        return []
-    out = [QScalar.zero()] * (len(p) + len(r) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(r):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-    return _qtrim(out)
-
-
-def _qscale(p, c):
-    return _qtrim([x * c for x in p])
-
-
-def _qdivmod(p, r):
-    if not r:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    lead = r[-1]
-    dr = len(r) - 1
-    quot = [QScalar.zero()] * max(len(rem) - dr, 0)
-    for i in range(len(rem) - 1, dr - 1, -1):
-        c = rem[i] / lead
-        if c:
-            quot[i - dr] = c
-            for j in range(dr + 1):
-                rem[i - dr + j] = rem[i - dr + j] - c * r[j]
-    return _qtrim(quot), _qtrim(rem)
-
-
-def _qpow(p, k):
-    out = [_ONE]
-    for _ in range(k):
-        out = _qmul(out, p)
-    return out
-
-
-def _qext_one(p, r):
-    """u, v with u*p + v*r = 1; remainders kept monic for determinism."""
-    r0, u0, v0 = list(p), [_ONE], []
-    r1, u1, v1 = list(r), [], [_ONE]
-    while r1:
-        quot, rem = _qdivmod(r0, r1)
-        r0, u0, v0, r1, u1, v1 = (
-            r1,
-            u1,
-            v1,
-            rem,
-            _qsub(u0, _qmul(quot, u1)),
-            _qsub(v0, _qmul(quot, v1)),
-        )
-        if r1:
-            lead = r1[-1]
-            if lead != _ONE:
-                inv = _ONE / lead
-                r1, u1, v1 = _qscale(r1, inv), _qscale(u1, inv), _qscale(v1, inv)
-    if len(r0) != 1:
-        raise ValueError("polynomials are not coprime over Q(q)")
-    c = r0[0]
-    if c != _ONE:
-        inv = _ONE / c
-        u0, v0 = _qscale(u0, inv), _qscale(v0, inv)
-    return u0, v0
+    c is the constant 1/prod(r) at the root r = -l0/l1 of lin, and
+    f = (1 - c*prod)/lin comes from one synthetic division; these are the
+    minimal-degree Bezout cofactors.
+    """
+    l0, l1 = lin
+    inv = _ONE / l1
+    c = _ONE / _peval(prod, -l0 * inv)
+    num = _psub((_ONE,), _pscale(prod, c))
+    quot = [QScalar.zero()] * (len(num) - 1)
+    carry = QScalar.zero()
+    for k in range(len(num) - 1, 0, -1):
+        carry = quot[k - 1] = (num[k] - l0 * carry) * inv
+    return (c,), tuple(quot)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +289,10 @@ def bezout_lens_resolution(N, n, weights=None, target=1, pres=None):
     With a = sum_{i>=1} z_i z_i*, the closed products
       z_0^N z_0*^N  = prod_{s=0}^{N-1} (1 - q^{2s} a)
       z_0*^N z_0^N  = prod_{s=1}^{N}   (1 - q^{-2s} a)
-    turn the certificate into a polynomial Bezout identity in a; the two
-    factors never share a root (q^{-2s} vs q^2, distinct for 0 < q < 1),
-    so the extended Euclidean algorithm over Q(q)[x] always succeeds.
+    turn the certificate into a polynomial Bezout identity in a between a
+    product and a linear factor.  The two never share a root (q^{-2s} vs
+    q^2, distinct for 0 < q < 1), so the identity exists, and because one
+    side is linear its cofactors have a closed form (_linear_cofactors).
     """
     if N < 1:
         raise ValueError("modulus N must be a positive integer")
@@ -366,11 +311,10 @@ def bezout_lens_resolution(N, n, weights=None, target=1, pres=None):
     if target == 1:
         # alpha*P + beta*Q = 1 with P = prod_{s=0}^{N-2}(1 - q^{2s}x),
         # Q = 1 - q^{-2}x; P(a) = z_0^{N-1} z_0*^{N-1}, Q(a) = z_0* z_0.
-        p = [_ONE]
+        p = (_ONE,)
         for s in range(N - 1):
-            p = _qmul(p, [_ONE, -QScalar.q(2 * s)])
-        qpoly = [_ONE, -QScalar.q(-2)]
-        alpha, beta = _qext_one(p, qpoly)
+            p = _pmul(p, (_ONE, -QScalar.q(2 * s)))
+        alpha, beta = _linear_cofactors(p, (_ONE, -QScalar.q(-2)))
         pairs = (
             (_poly_at(alpha, a, pres) * _zpow(pres, 0, N - 1), _zpow(pres, 0, N - 1, star=True)),
             (_poly_at(beta, a, pres) * _zpow(pres, 0, 1, star=True), _zpow(pres, 0, 1)),
@@ -378,10 +322,10 @@ def bezout_lens_resolution(N, n, weights=None, target=1, pres=None):
         return ResolutionOfIdentity(1, pairs)
     # gamma*(1 - x) + delta*prod_{s=1}^{N-1}(1 - q^{-2s}x) = 1, with
     # 1 - a = z_0 z_0* and the product equal to z_0*^{N-1} z_0^{N-1}.
-    p = [_ONE]
+    p = (_ONE,)
     for s in range(1, N):
-        p = _qmul(p, [_ONE, -QScalar.q(-2 * s)])
-    gamma, delta = _qext_one([_ONE, -_ONE], p)
+        p = _pmul(p, (_ONE, -QScalar.q(-2 * s)))
+    delta, gamma = _linear_cofactors(p, (_ONE, -_ONE))
     pairs = (
         (_poly_at(gamma, a, pres) * _zpow(pres, 0, 1), _zpow(pres, 0, 1, star=True)),
         (_poly_at(delta, a, pres) * _zpow(pres, 0, N - 1, star=True), _zpow(pres, 0, N - 1)),
@@ -395,13 +339,13 @@ def _level_poly(l, plus):
     minus: prod_{k=0}^{l-1} (1 + (1 - q^{2k}) y)   from z^l z*^l
     plus:  prod_{s=1}^{l}   (1 - (q^{-2s} - 1) y)  from z*^l z^l
     """
-    out = [_ONE]
+    out = (_ONE,)
     if plus:
         for s in range(1, l + 1):
-            out = _qmul(out, [_ONE, -(QScalar.q(-2 * s) - _ONE)])
+            out = _pmul(out, (_ONE, -(QScalar.q(-2 * s) - _ONE)))
     else:
         for k in range(l):
-            out = _qmul(out, [_ONE, _ONE - QScalar.q(2 * k)])
+            out = _pmul(out, (_ONE, _ONE - QScalar.q(2 * k)))
     return out
 
 
@@ -426,10 +370,13 @@ def _triangular_coeffs(pres, exps, plus):
 
     P_i(b) is the closed product for z_i^{l_i} z_i*^{l_i} (or its starred
     mirror), a binary form of degree l_i in (b_i, c_i) with c_i =
-    sum_{j>i} b_j.  Working upward from i = n, each level writes the
-    previous level's c_j^L as a combination of P_j and c_j^L via a
-    homogeneous Bezout identity against (b_j + c_j)^{L_j}; at the top,
-    b_0 + c_0 = 1 collapses the accumulated form to 1.
+    sum_{j>i} b_j.  Working upward from i = n, the accumulated identity
+    sum_{i>j} C_i P_i = c_j^L is lifted through the split
+    (b_j + c_j)^T = U P_j + W c_j^L of degree T = l_j + L - 1.  In
+    y = c_j/b_j, U is the power series (1 + y)^T / P_j(y) truncated below
+    degree L (P_j(0) = 1, so this takes ring operations only) and y^L W
+    is what remains.  Since b_j + c_j = c_{j-1}, the new level is T; at
+    the top, b_0 + c_0 = 1 collapses the accumulated form to 1.
     """
     n = pres.n
     coeffs = {n: AlgebraElement.one(pres)}
@@ -438,11 +385,9 @@ def _triangular_coeffs(pres, exps, plus):
         lj = exps[j]
         pj = _level_poly(lj, plus)
         total = lj + level - 1
-        ypow = [QScalar.zero()] * level + [_ONE]
-        u, _v = _qext_one(pj, ypow)
-        t = _qpow([_ONE, _ONE], total)
-        u1 = _qtrim(_qmul(t, u)[:level])
-        rem = _qsub(t, _qmul(u1, pj))
+        t = tuple(math.comb(total, k) for k in range(total + 1))
+        u1 = _series_quotient(t, pj, level)
+        rem = _psub(t, _pmul(u1, pj))
         if any(rem[:level]):
             raise ArithmeticError("level elimination failed to clear low terms")
         w1 = rem[level:]

@@ -537,16 +537,3 @@ def real_teardrop_k(n, m):
     )
     out = six_term_k_groups(inp)
     return {"K1": out["K1"], "K0_candidates": out["K0_candidates"]}
-
-
-def group_ops(a, b, op):
-    """Binary operations on canonical groups.
-
-    "direct_sum" returns the recanonicalized sum; "is_isomorphic" tests
-    isomorphism, which for canonical forms is plain equality.
-    """
-    if op == "direct_sum":
-        return a.direct_sum(b)
-    if op == "is_isomorphic":
-        return a == b
-    raise ValueError(f"unknown op {op!r}")

@@ -25,7 +25,6 @@ from fractions import Fraction
 from itertools import product
 
 from qwp.grading import GradingSpec
-from qwp.scalar import qscalar_eval
 from qwp.star_algebra import (
     W,
     AlgebraElement,
@@ -445,7 +444,7 @@ def apply_element(x, spec, space):
     entries = {}
     shift = 0
     for mon, coeff in x.sorted_terms():
-        val = float(qscalar_eval(coeff, spec.q0))
+        val = float(coeff.evaluate(spec.q0))
         word = mon.word()
         shift = max(shift, _word_shift(spec, word, space.n))
         _accumulate_word(spec, space, word, val, entries)
@@ -473,7 +472,7 @@ def relation_residual(p, spec, space):
         shift = 0
         for sign, terms in ((1.0, lhs), (-1.0, rhs)):
             for coeff, word in terms:
-                val = sign * float(qscalar_eval(coeff, spec.q0))
+                val = sign * float(coeff.evaluate(spec.q0))
                 shift = max(shift, _word_shift(spec, word, space.n))
                 _accumulate_word(spec, space, word, val, entries)
         interior = set(space.interior_indices(shift))
@@ -650,7 +649,7 @@ def fredholm_trace(x, n, m, q0, cutoff):
         raise ValueError("x must be degree zero for the weights (1, ..., 1, m)")
     specs = tuple(RepSpec("bar_pi", q0, k=k) for k in range(n + 1))
     terms = tuple(
-        (float(qscalar_eval(coeff, q0)), tuple(reversed(mon.word())))
+        (float(coeff.evaluate(q0)), tuple(reversed(mon.word())))
         for mon, coeff in x.sorted_terms()
     )
     total = 0.0

@@ -21,7 +21,7 @@ substitutes a rational q0 and stays exact (Fraction in, Fraction out).
 (1 - q^2)/(q^2)
 >>> (q ** -2 - 1) * (q ** 2 / (1 - q ** 2)) == QScalar.one()
 True
->>> qscalar_eval(1 / (1 - q ** 2), Fraction(1, 2))
+>>> (1 / (1 - q ** 2)).evaluate(Fraction(1, 2))
 Fraction(4, 3)
 """
 
@@ -426,21 +426,3 @@ def _poly_str(coeffs):
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
-
-
-def qscalar_arith(a, b, op):
-    """Field arithmetic dispatch: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def qscalar_eval(a, q0):
-    """Exact evaluation of a at q = q0; functional alias for a.evaluate(q0)."""
-    return a.evaluate(q0)

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -351,3 +355,22 @@ def test_sectors_command_control():
     assert code == 0 and report["all_invariant"] is True
     assert report["control_z0"]["invariant"] is False
     assert all(c["max_residual"] == 0.0 for c in report["checks"])
+
+
+# -- module entry point -----------------------------------------------------------
+
+
+def test_python_m_qwp_matches_run_command():
+    argv = ["normalize", "z0*z0", "--n", "1"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "qwp", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    code, _, text = run(argv)
+    assert done.returncode == code == 0, done.stderr
+    assert done.stdout == text

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwp.scalar import QScalar
+from qwp.scalar import QScalar, _pmul
 from qwp.star_algebra import (
     AlgebraElement,
     AlgebraPresentation,
@@ -35,8 +35,7 @@ from qwp.grading import (
     homogeneous_components,
     verify_resolution,
     weighted_resolution,
-    _qext_one,
-    _qmul,
+    _linear_cofactors,
 )
 
 q = QScalar.q()
@@ -294,11 +293,20 @@ def test_bezout_all_small_cases_verify():
                 assert verify_resolution(r, g)["valid"], (N, n, target)
 
 
-def _bezout_polys(N):
-    p = [one]
+def _bezout_identities(N):
+    """(P, lin) for both targets: the cofactors solve c*P + f*lin = 1.
+
+    Target 1 pairs prod_{s=0}^{N-2}(1 - q^{2s}x) with 1 - q^{-2}x; target -1
+    pairs prod_{s=1}^{N-1}(1 - q^{-2s}x) with 1 - x.
+    """
+    plus, minus = (one,), (one,)
     for s in range(N - 1):
-        p = _qmul(p, [one, -QScalar.q(2 * s)])
-    return p, [one, -QScalar.q(-2)]
+        plus = _pmul(plus, (one, -QScalar.q(2 * s)))
+        minus = _pmul(minus, (one, -QScalar.q(-2 * (s + 1))))
+    return (
+        (plus, (one, -QScalar.q(-2))),
+        (minus, (one, -one)),
+    )
 
 
 def _to_sympy(c, qs):
@@ -307,40 +315,40 @@ def _to_sympy(c, qs):
     return num / den
 
 
+def _sympy_poly(coeffs, qs, x):
+    return sum(_to_sympy(c, qs) * x ** i for i, c in enumerate(coeffs))
+
+
 def test_bezout_coefficients_match_sympy_gcdex():
     qs, x = sympy.symbols("q x")
     for N in (2, 3, 4, 5):
-        p, r = _bezout_polys(N)
-        alpha, beta = _qext_one(p, r)
-        P = math.prod(1 - qs ** (2 * s) * x for s in range(N - 1))
-        R = 1 - qs ** -2 * x
-        s_, t_, h = sympy.gcdex(sympy.Poly(P, x, domain=f"QQ({qs})"),
-                                sympy.Poly(R, x, domain=f"QQ({qs})"))
-        alpha_ref = sympy.Poly(s_ / h, x).all_coeffs()[::-1]
-        beta_ref = sympy.Poly(t_ / h, x).all_coeffs()[::-1]
-        assert len(alpha) == len(alpha_ref) and len(beta) == len(beta_ref)
-        for mine, ref in zip(alpha, alpha_ref):
-            assert sympy.simplify(_to_sympy(mine, qs) - ref) == 0
-        for mine, ref in zip(beta, beta_ref):
-            assert sympy.simplify(_to_sympy(mine, qs) - ref) == 0
+        for p, lin in _bezout_identities(N):
+            c, f = _linear_cofactors(p, lin)
+            s_, t_, h = sympy.gcdex(sympy.Poly(_sympy_poly(p, qs, x), x, domain=f"QQ({qs})"),
+                                    sympy.Poly(_sympy_poly(lin, qs, x), x, domain=f"QQ({qs})"))
+            c_ref = sympy.Poly(s_ / h, x).all_coeffs()[::-1]
+            f_ref = sympy.Poly(t_ / h, x).all_coeffs()[::-1]
+            assert len(c) == len(c_ref) and len(f) == len(f_ref)
+            for mine, ref in zip(c + f, c_ref + f_ref):
+                assert sympy.simplify(_to_sympy(mine, qs) - ref) == 0
 
 
 def test_bezout_identity_exact_and_denominators_vanish_at_1():
     for N in (2, 3, 4, 5):
-        p, r = _bezout_polys(N)
-        alpha, beta = _qext_one(p, r)
-        total = [QScalar.zero()] * max(len(alpha) + len(p), len(beta) + len(r))
-        for i, c in enumerate(_qmul(alpha, p)):
-            total[i] = total[i] + c
-        for i, c in enumerate(_qmul(beta, r)):
-            total[i] = total[i] + c
-        assert total[0] == one and all(c.is_zero() for c in total[1:])
-        seen_pole = False
-        for c in alpha + beta:
-            if len(c.den) > 1:
-                seen_pole = True
-                assert sum(Fraction(v) for v in c.den) == 0
-        assert seen_pole
+        for p, lin in _bezout_identities(N):
+            c, f = _linear_cofactors(p, lin)
+            total = [QScalar.zero()] * max(len(c) + len(p), len(f) + len(lin))
+            for i, v in enumerate(_pmul(c, p)):
+                total[i] = total[i] + v
+            for i, v in enumerate(_pmul(f, lin)):
+                total[i] = total[i] + v
+            assert total[0] == one and all(v.is_zero() for v in total[1:])
+            seen_pole = False
+            for v in c + f:
+                if len(v.den) > 1:
+                    seen_pole = True
+                    assert sum(Fraction(w) for w in v.den) == 0
+            assert seen_pole
 
 
 # -- weighted_resolution -----------------------------------------------------
