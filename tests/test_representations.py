@@ -1,14 +1,18 @@
 """Truncated representation models: assembly, residuals, sectors, traces."""
 
 import cmath
+import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwp.parsing import parse_expression
 from qwp.scalar import PoleError, QScalar
 from qwp.star_algebra import (
     W,
@@ -669,3 +673,36 @@ def test_zn_spectrum_modulus_phase_free():
     diag_b = rep_generator(RepSpec("sphere_pi", HALF, lam=phase(0.123)), z(1), sp).diagonal()
     for a, b in zip(diag_a, diag_b):
         assert abs(abs(a) - abs(b)) <= TOL
+
+
+def _recorded_spec(entry):
+    lam = entry["lam"]
+    lam = tuple(lam) if isinstance(lam, list) else complex(lam)
+    q0 = Fraction(entry["q0"])
+    return RepSpec(entry["family"], q0, lam=lam, k=entry["k"], sign=entry["sign"])
+
+
+def _recorded_pres(entry):
+    kind = "sigma" if entry["family"] == "sigma_pi" else "sphere"
+    return AlgebraPresentation(kind, entry["n"])
+
+
+def test_recorded_representation_corpus():
+    corpus = json.loads((Path(__file__).parent / "data" / "representations.json").read_text())
+    for e in corpus["residuals"]:
+        space = TruncatedSpace(e["n"], e["cutoff"])
+        out = relation_residual(_recorded_pres(e), _recorded_spec(e), space)
+        per = {name: repr(v) for name, v in out["per_relation"].items()}
+        assert per == e["per_relation"], f"residuals differ for {e}"
+    for e in corpus["traces"]:
+        x = parse_expression(e["element"], AlgebraPresentation.sphere(e["n"]))
+        out = fredholm_trace(x, e["n"], e["m"], Fraction(e["q0"]), e["cutoff"])
+        assert repr(out["partial_trace"]) == e["partial_trace"], f"trace differs for {e}"
+    for e in corpus["operators"]:
+        sector = None if e["sector"] is None else tuple(e["sector"])
+        space = TruncatedSpace(e["n"], e["cutoff"], sector)
+        x = parse_expression(e["element"], _recorded_pres(e))
+        op = apply_element(x, _recorded_spec(e), space)
+        digest = hashlib.sha256(json.dumps(op.to_coo()).encode()).hexdigest()
+        got = (len(op.entries), digest)
+        assert got == (e["nonzeros"], e["sha256"]), f"operator differs for {e}"
