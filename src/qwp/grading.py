@@ -272,10 +272,17 @@ def _a_elem(pres):
 
 
 def _poly_at(poly, x, pres):
-    """Evaluate a Q(q)[t] polynomial at an algebra element (Horner)."""
+    """Evaluate a Q(q)[t] polynomial at an algebra element as sum c_k x^k.
+
+    Not Horner, which would send every partial sum, rational-function
+    coefficients and all, through the rewriting engine again.
+    """
     acc = AlgebraElement.zero(pres)
-    for c in reversed(poly):
-        acc = acc * x + AlgebraElement.from_scalar(pres, c)
+    power = AlgebraElement.one(pres)
+    for k, c in enumerate(poly):
+        if k:
+            power = power * x
+        acc = acc + power.scale(c)
     return acc
 
 

@@ -355,15 +355,37 @@ def _check_space(spec, space):
         raise ValueError(f"bar_pi label k = {spec.k} exceeds n = {space.n}")
 
 
-def _check_element(x, spec, space):
+def _check_presentation(pres, spec, space):
     want = "sigma" if spec.family == "sigma_pi" else "sphere"
-    if x.pres.kind != want:
-        raise ValueError(
-            f"element lives in a {x.pres.kind} presentation but the family is {spec.family}"
-        )
-    if x.pres.n != space.n:
-        raise ValueError(f"element has n = {x.pres.n} but the space has n = {space.n}")
+    if pres.kind != want:
+        raise ValueError(f"presentation kind {pres.kind!r} does not match family {spec.family!r}")
+    if pres.n != space.n:
+        raise ValueError(f"presentation has n = {pres.n} but the space has n = {space.n}")
     _check_space(spec, space)
+
+
+def _check_degree_zero(x, n, m):
+    if x.pres != AlgebraPresentation.sphere(n):
+        raise ValueError("x must live in the sphere presentation with matching n")
+    if not degree_zero_membership(x, GradingSpec(x.pres, (1,) * n + (m,))):
+        raise ValueError("x must be degree zero for the weights (1, ..., 1, m)")
+
+
+def _act(spec, rev, p, cutoff, c):
+    """The word whose letters, rightmost first, are rev applied to c |p>.
+
+    Returns (coefficient, image), or None when a letter kills the vector,
+    lifts it past the cutoff, or the coefficient comes out zero.
+    """
+    for g in rev:
+        hit = _single_action(spec, g, p)
+        if hit is None:
+            return None
+        c *= hit[0]
+        p = hit[1]
+        if any(e > cutoff for e in p):
+            return None
+    return None if c == 0 else (c, p)
 
 
 def _accumulate_word(spec, space, word, val, entries):
@@ -377,25 +399,14 @@ def _accumulate_word(spec, space, word, val, entries):
     if val == 0:
         return
     bar_k = spec.k if spec.family == "bar_pi" else None
-    cutoff = space.cutoff
     rev = tuple(reversed(word))
     for col, p in enumerate(space.basis):
         if bar_k is not None and not _admissible(p, bar_k):
             continue
-        c = val
-        vec = p
-        for g in rev:
-            hit = _single_action(spec, g, vec)
-            if hit is None:
-                c = 0
-                break
-            c *= hit[0]
-            vec = hit[1]
-            if any(e > cutoff for e in vec):
-                c = 0
-                break
-        if c == 0:
+        hit = _act(spec, rev, p, space.cutoff, val)
+        if hit is None:
             continue
+        c, vec = hit
         row = space.index(vec)
         if row is None:
             continue
@@ -421,13 +432,12 @@ def rep_generator(spec, g, space):
     _check_generator(spec, g, space.n)
     entries = {}
     for col, p in enumerate(space.basis):
-        hit = _single_action(spec, g, p)
+        hit = _act(spec, (g,), p, space.cutoff, 1.0)
         if hit is None:
             continue
-        c, image = hit
-        row = space.index(image)
-        if row is not None and c != 0:
-            entries[row, col] = complex(c)
+        row = space.index(hit[1])
+        if row is not None:
+            entries[row, col] = hit[0]
     return TruncatedOperator(space, entries, _gen_shift(spec, g, space.n))
 
 
@@ -440,7 +450,7 @@ def apply_element(x, spec, space):
     unit acts as the projection onto the admissible vectors, not as the
     identity, because the inadmissible vectors span a null summand.
     """
-    _check_element(x, spec, space)
+    _check_presentation(x.pres, spec, space)
     entries = {}
     shift = 0
     for mon, coeff in x.sorted_terms():
@@ -458,12 +468,7 @@ def relation_residual(p, spec, space):
     that relation's shift budget without touching the cutoff.  A relation
     with an empty interior contributes 0 and raises the empty flag.
     """
-    want = "sigma" if spec.family == "sigma_pi" else "sphere"
-    if p.kind != want:
-        raise ValueError(f"presentation kind {p.kind!r} does not match family {spec.family!r}")
-    if p.n != space.n:
-        raise ValueError(f"presentation has n = {p.n} but the space has n = {space.n}")
-    _check_space(spec, space)
+    _check_presentation(p, spec, space)
     per = {}
     worst = 0.0
     empty = False
@@ -643,13 +648,10 @@ def fredholm_trace(x, n, m, q0, cutoff):
         raise ValueError("need n >= 1 and m >= 1")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    if x.pres != AlgebraPresentation.sphere(n):
-        raise ValueError("x must live in the sphere presentation with matching n")
-    if not degree_zero_membership(x, GradingSpec(x.pres, (1,) * n + (m,))):
-        raise ValueError("x must be degree zero for the weights (1, ..., 1, m)")
+    _check_degree_zero(x, n, m)
     specs = tuple(RepSpec("bar_pi", q0, k=k) for k in range(n + 1))
     terms = tuple(
-        (float(coeff.evaluate(q0)), tuple(reversed(mon.word())))
+        (complex(float(coeff.evaluate(q0))), tuple(reversed(mon.word())))
         for mon, coeff in x.sorted_terms()
     )
     total = 0.0
@@ -659,20 +661,9 @@ def fredholm_trace(x, n, m, q0, cutoff):
                 continue
             sign = -1.0 if k % 2 else 1.0
             for val, rev in terms:
-                c = complex(val)
-                vec = p
-                for g in rev:
-                    hit = _single_action(spec, g, vec)
-                    if hit is None:
-                        c = 0j
-                        break
-                    c *= hit[0]
-                    vec = hit[1]
-                    if any(e > cutoff for e in vec):
-                        c = 0j
-                        break
-                if c != 0 and vec == p:
-                    total += sign * c.real
+                hit = _act(spec, rev, p, cutoff, val)
+                if hit is not None and hit[1] == p:
+                    total += sign * hit[0].real
     f = float(q0)
     tail = f**cutoff * math.comb(cutoff + n - 1, n - 1) / (1.0 - f) ** n
     series = Fraction(0)
@@ -711,14 +702,8 @@ class FredholmModule:
         object.__setattr__(self, "q0", _exact_q0(self.q0))
         object.__setattr__(self, "space", TruncatedSpace(self.n, self.cutoff))
 
-    def _checked(self, x):
-        if x.pres != AlgebraPresentation.sphere(self.n):
-            raise ValueError("x must live in the sphere presentation with matching n")
-        if not degree_zero_membership(x, GradingSpec(x.pres, (1,) * self.n + (self.m,))):
-            raise ValueError("x must be degree zero for the weights (1, ..., 1, m)")
-        return x
-
     def _summed(self, x, parity):
+        _check_degree_zero(x, self.n, self.m)
         acc = TruncatedOperator(self.space, {}, 0)
         for k in range(parity, self.n + 1, 2):
             acc = acc + apply_element(x, RepSpec("bar_pi", self.q0, k=k), self.space)
@@ -726,11 +711,11 @@ class FredholmModule:
 
     def pi_plus(self, x):
         """Sum of the even-label representations applied to x."""
-        return self._summed(self._checked(x), 0)
+        return self._summed(x, 0)
 
     def pi_minus(self, x):
         """Sum of the odd-label representations applied to x."""
-        return self._summed(self._checked(x), 1)
+        return self._summed(x, 1)
 
     def difference(self, x):
         return self.pi_plus(x) - self.pi_minus(x)

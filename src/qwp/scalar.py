@@ -262,10 +262,6 @@ class QScalar:
             return QScalar([0] * power + [1])
         return QScalar(1, [0] * (-power) + [1])
 
-    @staticmethod
-    def from_fraction(c):
-        return QScalar(Fraction(c))
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):

@@ -26,6 +26,11 @@ words, a basis of the algebra, depend only on the left-hand sides, so a
 right-hand side that holds in the algebra changes no normal form
 (Bergman's diamond lemma).
 
+Each rule is stated once, in the redex table _rules keyed by the reducible
+pairs of adjacent letters.  Its single-branch rules are the swaps
+g1 g2 -> q^-1 g2 g1 and z_n* z_n -> z_n z_n*, which the engine follows
+inline; only z_i* z_i (i < n), z_n z_n* and Σ's z_n z_n branch.
+
 Elements are finite Q(q)-linear combinations of normal-form monomials;
 all arithmetic routes through the rewriting engine, which supports both a
 deterministic leftmost strategy and a seeded random-position strategy (the
@@ -34,6 +39,7 @@ two are compared in the confluence tests).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -99,9 +105,6 @@ class Monomial(NamedTuple):
         elif self.s < 0:
             gens.extend([W_STAR] * (-self.s))
         return tuple(gens)
-
-    def degree_total(self):
-        return sum(self.a) + sum(self.b)
 
     def __str__(self):
         parts = [f"z{i}^{e}" if e > 1 else f"z{i}" for i, e in enumerate(self.a) if e]
@@ -169,109 +172,77 @@ def _ingest(pres, gens, s=0):
     return tuple(zword), s
 
 
-def _reducible_positions(pres, word):
-    n = pres.n
-    out = []
-    for t in range(len(word) - 1):
-        k1, i1 = word[t]
-        k2, i2 = word[t + 1]
-        if k1 == "z":
-            if k2 == "z":
-                if i1 > i2 or (pres.kind == "sigma" and i1 == i2 == n):
-                    out.append(t)
-            elif i1 == i2 == n:  # z_n z_n* (sphere only; sigma has no z_n*)
-                out.append(t)
-        else:  # k1 == "z*"
-            if k2 == "z*":
-                if i1 < i2:
-                    out.append(t)
-            else:
-                out.append(t)  # any z* before z is reducible
-    return out
+@functools.cache
+def _rules(pres):
+    """The redex table {(g1, g2): [(factor, replacement, ds), ...]}.
 
-
-def _apply_rule(pres, word, s, t):
-    """Expand the redex at position t; yields (factor, new_word, new_s)."""
-    n = pres.n
-    head, tail = word[:t], word[t + 2 :]
-    g1, g2 = word[t], word[t + 1]
-    k1, i1 = g1
-    k2, i2 = g2
-    if k1 == "z" and k2 == "z":
-        if i1 > i2:
-            yield Q_INV, head + (g2, g1) + tail, s
-        else:  # sigma: z_n z_n -> w^-1 (1 - sum_{j<n} z_j z_j*)
-            yield ONE, head + tail, s - 1
-            for j in range(n):
-                yield -ONE, head + (z(j), z_star(j)) + tail, s - 1
-    elif k1 == "z" and k2 == "z*":
-        # only the sphere pattern z_n z_n* -> 1 - sum_{j<n} z_j z_j*
-        yield ONE, head + tail, s
-        for j in range(n):
-            yield -ONE, head + (z(j), z_star(j)) + tail, s
-    elif k1 == "z*" and k2 == "z*":
-        yield Q_INV, head + (g2, g1) + tail, s
-    else:  # z* then z
-        if i1 != i2:
-            yield Q_INV, head + (g2, g1) + tail, s
-        elif i1 == n:  # z_n* z_n -> z_n z_n* (empty higher sum)
-            yield ONE, head + (g2, g1) + tail, s
-        else:  # z_i* z_i -> q^-2 z_i z_i* - (q^-2-1) + (q^-2-1) sum_{j<i} z_j z_j*
-            yield Q_INV2, head + (g2, g1) + tail, s
-            yield -QINV2_M1, head + tail, s
-            for j in range(i1):
-                yield QINV2_M1, head + (z(j), z_star(j)) + tail, s
-
-
-def _chase(pres, word, s):
-    """Apply non-branching rules at leftmost positions until stuck.
-
-    Every non-branching rule has factor q^-1 or 1, so the combined factor
-    is q^-k.  Returns (k, word, s, t) where t is the leftmost branching
-    redex, or -1 if the word is normal.
+    g1 g2 rewrites to the sum of factor * replacement * w^ds; the keys, the
+    left-hand sides, alone fix the normal forms.
     """
     n = pres.n
     sigma = pres.kind == "sigma"
+    zs = [z(i) for i in range(n + 1)]
+    zb = [z_star(i) for i in range(n if sigma else n + 1)]  # no z_n* in sigma
+    rules = {}
+    for i, zi in enumerate(zs):
+        for j in range(i):
+            rules[zi, zs[j]] = [(Q_INV, (zs[j], zi), 0)]
+    for i, bi in enumerate(zb):
+        for j in range(i + 1, len(zb)):
+            rules[bi, zb[j]] = [(Q_INV, (zb[j], bi), 0)]
+        for j, zj in enumerate(zs):
+            if j != i:
+                rules[bi, zj] = [(Q_INV, (zj, bi), 0)]
+        if i < n:  # z_i* z_i -> q^-2 z_i z_i* - (q^-2-1) + (q^-2-1) sum_{j<i} z_j z_j*
+            rules[bi, zs[i]] = [(Q_INV2, (zs[i], bi), 0), (-QINV2_M1, (), 0)] + [
+                (QINV2_M1, (zs[j], zb[j]), 0) for j in range(i)
+            ]
+    # 1 - sum_{j<n} z_j z_j*, times w^-1 in sigma
+    ds = -1 if sigma else 0
+    unit = [(ONE, (), ds)] + [(-ONE, (zs[j], zb[j]), ds) for j in range(n)]
+    if sigma:
+        rules[zs[n], zs[n]] = unit
+    else:
+        rules[zs[n], zb[n]] = unit
+        rules[zb[n], zs[n]] = [(ONE, (zs[n], zb[n]), 0)]
+    return rules
+
+
+def _reducible_positions(pres, word):
+    rules = _rules(pres)
+    return [t for t in range(len(word) - 1) if (word[t], word[t + 1]) in rules]
+
+
+def _apply_rule(pres, word, s, t):
+    """Expand the redex at position t into [(factor, new_word, new_s), ...]."""
+    head, tail = word[:t], word[t + 2 :]
+    return [(f, head + rep + tail, s + ds) for f, rep, ds in _rules(pres)[word[t], word[t + 1]]]
+
+
+def _chase(pres, word, s):
+    """Apply single-branch rules at leftmost positions until stuck.
+
+    The single-branch rules of the table are swaps with factor q^-1 or 1,
+    so the combined factor is q^-k.  Returns (k, word, s, t) where t is the
+    leftmost branching redex, or -1 if the word is normal.
+    """
+    rule_at = _rules(pres).get
     w = list(word)
     k = 0
     t = 0
     last = len(w) - 1
     while t < last:
-        k1, i1 = w[t]
-        k2, i2 = w[t + 1]
-        if k1 == "z":
-            if k2 == "z":
-                if i1 > i2:
-                    w[t], w[t + 1] = w[t + 1], w[t]
-                    k += 1
-                    if t:
-                        t -= 1
-                    continue
-                if sigma and i1 == n and i2 == n:
-                    return k, tuple(w), s, t
-            elif i1 == n and i2 == n:  # sphere z_n z_n*
-                return k, tuple(w), s, t
-        elif k2 == "z*":
-            if i1 < i2:
-                w[t], w[t + 1] = w[t + 1], w[t]
-                k += 1
-                if t:
-                    t -= 1
-                continue
-        else:  # z* then z
-            if i1 != i2:
-                w[t], w[t + 1] = w[t + 1], w[t]
-                k += 1
-                if t:
-                    t -= 1
-                continue
-            if i1 == n:  # sphere z_n* z_n -> z_n z_n*, factor 1
-                w[t], w[t + 1] = w[t + 1], w[t]
-                if t:
-                    t -= 1
-                continue
-            return k, tuple(w), s, t  # z_i* z_i with i < n
-        t += 1
+        rule = rule_at((w[t], w[t + 1]))
+        if rule is None:
+            t += 1
+            continue
+        if len(rule) > 1:
+            return k, tuple(w), s, t
+        w[t], w[t + 1] = w[t + 1], w[t]
+        if rule[0][0] is Q_INV:
+            k += 1
+        if t:
+            t -= 1
     return k, tuple(w), s, -1
 
 
@@ -303,7 +274,7 @@ def _leftmost(pres, memo, register):
         k, word, s, t = _chase(pres, word, s)
         key = (word, s)
         if key not in memo:
-            register(key, word, s, list(_apply_rule(pres, word, s, t)) if t >= 0 else None)
+            register(key, word, s, _apply_rule(pres, word, s, t) if t >= 0 else None)
         return (_qinv_pow(k) if k else ONE), key
 
     return intern
@@ -331,7 +302,7 @@ def _random_walk(pres, rng, memo, register):
             positions = _reducible_positions(pres, word)
             branches = None
             if positions:
-                branches = list(_apply_rule(pres, word, s, rng.choice(positions)))
+                branches = _apply_rule(pres, word, s, rng.choice(positions))
             if not branches or len(branches) > 1:
                 register(key, word, s, branches)
                 break

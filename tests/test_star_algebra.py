@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from qwp.star_algebra import (
     adjoint,
     defining_relations,
     make_named_element,
+    _rules,
     normalize,
     z,
     z_star,
@@ -151,6 +153,29 @@ def test_recorded_normal_form_corpus():
         for strategy in ("leftmost", "random"):
             nf = normalize(word, pres, strategy=strategy, rng=random.Random(trial))
             assert str(nf) == entry["normal_form"], f"{strategy} differs on {entry['word']}"
+
+
+def _normal_monomial(pres, word):
+    """The documented normal-form shape, read off a z/z* word directly."""
+    kinds = [g.kind for g in word]
+    a = [g.index for g in word if g.kind == "z"]
+    b = [g.index for g in word if g.kind == "z*"]
+    n = pres.n
+    shape = kinds == sorted(kinds) and a == sorted(a) and b == sorted(b, reverse=True)
+    if pres.kind == "sphere":
+        return shape and min(a.count(n), b.count(n)) == 0
+    return shape and a.count(n) <= 1
+
+
+@pytest.mark.parametrize("pres", ALL_PRES, ids=lambda p: f"{p.kind}{p.n}")
+def test_rule_table_keys_are_the_reducible_pairs(pres):
+    # z_n* never reaches the engine in sigma: _ingest rewrites it as w z_n
+    top = pres.n + (pres.kind == "sphere")
+    letters = [z(i) for i in range(pres.n + 1)] + [z_star(i) for i in range(top)]
+    rules = _rules(pres)
+    assert set(rules) <= set(product(letters, repeat=2))
+    for pair in product(letters, repeat=2):
+        assert (pair in rules) == (not _normal_monomial(pres, pair)), pair
 
 
 def test_sigma_zstar_n_elimination():
