@@ -1,12 +1,14 @@
 """Exact Q(q) arithmetic: canonical form, field axioms, evaluation."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwp.scalar import PoleError, QScalar
+from qwp.scalar import PoleError, QScalar, _canon
 
 q = QScalar.q()
 
@@ -144,3 +146,15 @@ def test_str_forms():
     assert str(1 - q ** 2) == "1 - q^2"
     assert str((1 - q ** 2) / q ** 2) == "(1 - q^2)/(q^2)"
     assert str(Fraction(3, 2) * q) == "3/2*q"
+
+
+def _decoded(poly):
+    # corpus coefficients: a JSON int is an int, a string is a Fraction
+    return tuple(c if type(c) is int else Fraction(c) for c in poly)
+
+
+def test_recorded_scalar_corpus():
+    corpus = json.loads((Path(__file__).parent / "data" / "scalars.json").read_text())
+    for entry in corpus["entries"]:
+        out = _canon(_decoded(entry["num"]), _decoded(entry["den"]))
+        assert repr(out) == entry["canon"], entry["source"]
