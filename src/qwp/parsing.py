@@ -27,6 +27,13 @@ from qwp.star_algebra import (
 )
 
 
+# Budget of a scalar power b^k: |k| times the q-degree of b (taken as 1
+# for a constant b) may not exceed it, so nested powers are bounded too.
+# Printed coefficients reach q^200 in the recorded certificates; a power
+# far beyond the budget would only build a huge coefficient tuple.
+MAX_SCALAR_EXPONENT = 10**5
+
+
 class ParseError(ValueError):
     """Syntax error with position and expected-token information."""
 
@@ -220,6 +227,12 @@ class _Parser:
             exp_tok = self.expect("int", "integer exponent")
             k = sign * exp_tok.value
             if isinstance(base, QScalar):
+                degree = max(len(base.num), len(base.den), 2) - 1
+                if abs(k) * degree > MAX_SCALAR_EXPONENT:
+                    raise ParseError(
+                        f"scalar power exceeds the exponent budget {MAX_SCALAR_EXPONENT}",
+                        exp_tok.pos,
+                    )
                 return base ** k
             if k < 0:
                 raise ParseError("negative powers only apply to scalars", tok.pos)

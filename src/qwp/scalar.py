@@ -11,6 +11,15 @@ Canonical form invariants, maintained by every operation:
   * the denominator is nonzero and monic,
   * numerator and denominator share no common polynomial factor,
   * zero is represented uniquely as 0/1.
+These invariants determine the pair, so any way of reaching them gives
+the same canonical form.
+
+Reduction works over Z.  Numerator and denominator are split into a
+rational content and an integer primitive part; their gcd is taken in
+Z[q] by the primitive remainder sequence, both parts are divided by it
+exactly with int arithmetic, and the denominator is made monic once at
+the end.  By Gauss's lemma this gcd agrees up to a constant with the
+gcd in Q[q], so the result is the canonical form above.
 
 Negative powers of q (q^-2 and friends) are ordinary
 scalars with a power of q in the denominator.  Numerical evaluation
@@ -28,6 +37,7 @@ Fraction(4, 3)
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 # Public name for arbitrary-precision rationals.  Fraction already
 # maintains gcd(numerator, denominator) = 1 with positive denominator.
@@ -107,37 +117,90 @@ def _pscale(a, c):
     return tuple(x * c for x in a)
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    lead = b[-1]
+def _primitive(a):
+    """Split a nonzero polynomial as content * primitive part.
+
+    The content is a Fraction.  The primitive part has int coefficients
+    with gcd 1 and a positive leading coefficient.
+    """
+    d = 1
+    try:
+        g = gcd(*a)
+    except TypeError:  # Fraction coefficients: clear the denominators first
+        d = lcm(*[c.denominator for c in a])
+        a = [c.numerator * (d // c.denominator) for c in a]
+        g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    if g != 1:
+        a = [c // g for c in a]
+    return Fraction(g, d), tuple(a)
+
+
+def _prem(a, b):
+    # a pseudo-remainder over Z: (c*a) mod b for some nonzero int c
+    r = list(a)
     db = len(b) - 1
-    quot = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = _div(a[i], lead)
+    lead = b[-1]
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
         if c:
-            quot[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    return _trim(quot), _trim(a)
+            g = gcd(c, lead)
+            m, c = lead // g, c // g
+            s = i - db
+            if m != 1:
+                r[:s] = [x * m for x in r[:s]]
+            r[s:i] = [x * m - c * y for x, y in zip(r[s:i], b)]
+    return _trim(r[:db])
 
 
-def _pmonic(a):
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return tuple(_div(c, lead) for c in a)
+def _pexquo(a, b):
+    # the quotient a/b of int polynomials, for b dividing a in Z[q]
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            c //= lead
+            s = i - db
+            quot[s] = c
+            r[s:i] = [x - c * y for x, y in zip(r[s:i], b)]
+    return tuple(quot)
 
 
 def _pgcd(a, b):
-    # Euclid with monic remainders; the result is monic (or zero).
-    a, b = _pmonic(a), _pmonic(b)
-    while b:
-        a, b = b, _pmonic(_pdivmod(a, b)[1])
-    return a
+    """gcd in Z[q]: primitive, with a positive leading coefficient.
+
+    Euclid on primitive parts (the primitive remainder sequence, Knuth,
+    TAOCP vol. 2, 4.6.1): each pseudo-remainder is reduced to its
+    primitive part, so every coefficient stays an int.  By Gauss's lemma
+    the result is also a gcd in Q[q] of the rational inputs.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return _primitive(a)[1] if a else ()
+    a, b = _primitive(a)[1], _primitive(b)[1]
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)[1]
+    return (1,)
+
+
+def _scaled(p, s):
+    # p times the Fraction s, integral coefficients as int
+    if s.denominator == 1:
+        s = s.numerator
+        return p if s == 1 else tuple(x * s for x in p)
+    out = []
+    for x in p:
+        f = x * s
+        out.append(f.numerator if f.denominator == 1 else f)
+    return tuple(out)
 
 
 def _peval(a, x):
@@ -153,7 +216,16 @@ def _pconst(c):
 
 
 def _canon(num, den):
-    """Reduce a raw coefficient-tuple pair to canonical form."""
+    """Reduce a raw coefficient-tuple pair to canonical form.
+
+    Denominators that are constants or powers of q are handled without a
+    gcd.  Otherwise num = cn*pn and den = cd*pd with contents cn, cd and
+    primitive int parts pn, pd; pn and pd are divided by their gcd in
+    Z[q], and cn/cd together with pd's leading coefficient becomes one
+    scale, which makes the denominator monic.  The canonical form is
+    unique, so this gives the same pair as a gcd taken over Q[q].
+    An already reduced pair with a monic denominator is returned as is.
+    """
     if not den:
         raise ZeroDivisionError("zero denominator in Q(q)")
     if not num:
@@ -176,16 +248,15 @@ def _canon(num, den):
         if len(den) == 1:
             return num, (1,)
         return num, den
-    if len(num) > 1:
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-    lead = den[-1]
-    if lead != 1:
-        num = tuple(_div(c, lead) for c in num)
-        den = tuple(_div(c, lead) for c in den)
-    return num, den
+    cn, pn = _primitive(num)
+    cd, pd = _primitive(den)
+    g = _pgcd(pn, pd)
+    if len(g) > 1:
+        pn, pd = _pexquo(pn, g), _pexquo(pd, g)
+    elif den[-1] == 1:
+        return num, den
+    lead = pd[-1]
+    return _scaled(pn, cn / (cd * lead)), _scaled(pd, Fraction(1, lead))
 
 
 _QPOW_DEN = tuple((0,) * k + (1,) for k in range(65))

@@ -23,7 +23,7 @@ from qwp.cli import (
     run_command,
 )
 from qwp.grading import ResolutionOfIdentity, verify_resolution
-from qwp.parsing import ParseError, parse_expression, parse_scalar
+from qwp.parsing import MAX_SCALAR_EXPONENT, ParseError, parse_expression, parse_scalar
 from qwp.scalar import QScalar
 from qwp.star_algebra import (
     AlgebraElement,
@@ -284,6 +284,25 @@ def test_computation_errors_exit_one():
     jsonschema.validate(report, report_schema("error"))
     code, report, _ = run(["normalize", "z0 +", "--n", "1"])
     assert code == 1 and report["error"]["type"] == "ParseError"
+
+
+def test_scalar_exponent_budget_exits_one(monkeypatch):
+    power = QScalar.__pow__
+
+    def bounded_power(self, k):
+        # the budget must be checked before any large power is built
+        assert abs(k) <= MAX_SCALAR_EXPONENT, f"built a power with exponent {k}"
+        return power(self, k)
+
+    monkeypatch.setattr(QScalar, "__pow__", bounded_power)
+    over = MAX_SCALAR_EXPONENT + 1
+    for text in ("q^100000000 z0", f"q^-{over} z0", f"{over // 2}^{over}", "(q^2)^60000 z0"):
+        code, report, _ = run(["normalize", text, "--n", "1"])
+        assert code == 1 and report["status"] == "error", text
+        assert report["error"]["type"] == "ParseError", text
+        jsonschema.validate(report, report_schema("error"))
+    code, report, _ = run(["normalize", "q^-200 z0", "--n", "1"])
+    assert code == 0 and report["printed"] == "(1/(q^200)) z0"
 
 
 def test_failed_checks_exit_one():

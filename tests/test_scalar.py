@@ -5,10 +5,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwp.scalar import PoleError, QScalar, _canon
+from qwp.scalar import PoleError, QScalar, _canon, _pgcd, _pmul, _trim
 
 q = QScalar.q()
 
@@ -86,13 +87,38 @@ def test_canonicalization_idempotent(a):
 
 @given(scalars())
 def test_denominator_monic_and_reduced(a):
-    from qwp.scalar import _pgcd
-
     assert a.den[-1] == 1
     if a.num:
         assert len(_pgcd(a.num, a.den)) == 1
     else:
         assert a.den == (Fraction(1),)
+
+
+@st.composite
+def gcd_inputs(draw):
+    """Two polynomials with a planted common factor; b may be a constant or a itself."""
+    common = _trim(tuple(draw(polys.filter(any))))
+    a = _pmul(_trim(tuple(draw(polys))), common)
+    shape = draw(st.sampled_from(("planted", "constant", "equal")))
+    if shape == "equal":
+        return a, a
+    if shape == "constant":
+        return a, _trim(tuple(draw(st.lists(rationals, max_size=1))))
+    return a, _pmul(_trim(tuple(draw(polys))), common)
+
+
+def _sympy_poly(coeffs, x):
+    return sympy.Poly([sympy.Rational(Fraction(c)) for c in reversed(coeffs)] or [0], x, domain="QQ")
+
+
+@given(gcd_inputs())
+def test_pgcd_matches_sympy_gcd(pair):
+    a, b = pair
+    x = sympy.Symbol("x")
+    g = _pgcd(a, b)
+    monic = tuple(Fraction(c, g[-1]) for c in g)
+    ref = sympy.gcd(_sympy_poly(a, x), _sympy_poly(b, x))
+    assert monic == _trim(tuple(Fraction(int(c.p), int(c.q)) for c in reversed(ref.all_coeffs())))
 
 
 @settings(max_examples=60)
