@@ -14,6 +14,8 @@ the boundary between exact and rounded arithmetic stays visible.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import random
@@ -68,8 +70,12 @@ from qwp.star_algebra import (
 from qwp.scalar import QScalar
 
 
-class UsageError(ValueError):
-    """Bad flags or config values; maps to exit code 2."""
+class UsageError(argparse.ArgumentTypeError, ValueError):
+    """Bad flags or config values; maps to exit code 2.
+
+    argparse prints the text of an ArgumentTypeError raised by a ``type=``
+    converter, where a plain ValueError becomes "invalid <name> value".
+    """
 
 
 SPACE_KINDS = ("sphere", "sigma", "lens", "sigma_lens", "wp", "rp")
@@ -958,7 +964,13 @@ def _add_rep_options(parser):
     parser.add_argument("--sign", type=int, choices=(1, -1), default=1)
 
 
+@functools.cache
 def build_parser():
+    """The qwp argument parser, built on the first call and shared after it.
+
+    It keeps no state between parses: ``run_command`` points argparse's
+    help and error output at its own streams for the length of one parse.
+    """
     parser = argparse.ArgumentParser(
         prog="qwp",
         description="Exact and numerical checks for quantum weighted projective spaces.",
@@ -1037,9 +1049,9 @@ def run_command(argv, stdout=None, stderr=None):
     """Dispatch argv, print one JSON report, and return the exit code."""
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code in (0, None):
             return 0

@@ -33,6 +33,12 @@ from qwp.star_algebra import (
 # far beyond the budget would only build a huge coefficient tuple.
 MAX_SCALAR_EXPONENT = 10**5
 
+# Budget of an element power b^k: k times the longest word of b (taken as
+# 1 when b has no generator) may not exceed it.  Multiplying out z0^k
+# takes time quadratic in k (0.3 s at k = 1000, 4.5 s at k = 4000);
+# recorded normal forms print no generator power above 10.
+MAX_POWER_WORD_LENGTH = 1000
+
 
 class ParseError(ValueError):
     """Syntax error with position and expected-token information."""
@@ -236,6 +242,12 @@ class _Parser:
                 return base ** k
             if k < 0:
                 raise ParseError("negative powers only apply to scalars", tok.pos)
+            longest = max((sum(m.a) + sum(m.b) + abs(m.s) for m in base.terms), default=0)
+            if k * max(longest, 1) > MAX_POWER_WORD_LENGTH:
+                raise ParseError(
+                    f"element power exceeds the word length budget {MAX_POWER_WORD_LENGTH}",
+                    exp_tok.pos,
+                )
             return base ** k
         return base
 

@@ -17,13 +17,20 @@ from qwp.cli import (
     RunConfig,
     SpaceDescriptor,
     UsageError,
+    build_parser,
     parse_config_file,
     parse_rational,
     report_schema,
     run_command,
 )
 from qwp.grading import ResolutionOfIdentity, verify_resolution
-from qwp.parsing import MAX_SCALAR_EXPONENT, ParseError, parse_expression, parse_scalar
+from qwp.parsing import (
+    MAX_POWER_WORD_LENGTH,
+    MAX_SCALAR_EXPONENT,
+    ParseError,
+    parse_expression,
+    parse_scalar,
+)
 from qwp.scalar import QScalar
 from qwp.star_algebra import (
     AlgebraElement,
@@ -42,10 +49,15 @@ SIG1 = AlgebraPresentation.sigma(1)
 
 def run(argv):
     """Exit code, decoded report (or None) and the raw bytes of stdout."""
+    code, text, _ = run_streams(argv)
+    return code, json.loads(text) if text else None, text
+
+
+def run_streams(argv):
+    """Exit code and everything written to the stdout and stderr given to the call."""
     out, err = io.StringIO(), io.StringIO()
     code = run_command(argv, stdout=out, stderr=err)
-    text = out.getvalue()
-    return code, json.loads(text) if text else None, text
+    return code, out.getvalue(), err.getvalue()
 
 
 # -- expression grammar --------------------------------------------------------
@@ -305,6 +317,26 @@ def test_scalar_exponent_budget_exits_one(monkeypatch):
     assert code == 0 and report["printed"] == "(1/(q^200)) z0"
 
 
+def test_element_power_budget_exits_one(monkeypatch):
+    power = AlgebraElement.__pow__
+
+    def bounded_power(self, k):
+        # the budget must be checked before any long power is multiplied out
+        assert k <= MAX_POWER_WORD_LENGTH, f"built a power with exponent {k}"
+        return power(self, k)
+
+    monkeypatch.setattr(AlgebraElement, "__pow__", bounded_power)
+    over = MAX_POWER_WORD_LENGTH + 1
+    for text in (f"z0^{over}", "z0^100000", f"(z0 z1*)^{over // 2 + 1}", f"(z0 - z0 + 1)^{over}",
+                 f"(z0^2)^{over // 2 + 1}"):
+        code, report, _ = run(["normalize", text, "--n", "1"])
+        assert code == 1 and report["status"] == "error", text
+        assert report["error"]["type"] == "ParseError", text
+        jsonschema.validate(report, report_schema("error"))
+    code, report, _ = run(["normalize", f"(z0 z1*)^{MAX_POWER_WORD_LENGTH // 2}", "--n", "1"])
+    assert code == 0 and report["term_count"] == 1
+
+
 def test_failed_checks_exit_one():
     code, report, _ = run(
         [
@@ -314,6 +346,76 @@ def test_failed_checks_exit_one():
     )
     assert code == 1 and report["status"] == "fail"
     assert any(c["status"] == "fail" for c in report["checks"])
+
+
+def test_help_and_usage_errors_go_to_the_call_streams(capsys):
+    code, out, err = run_streams(["ktheory", "teardrop", "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: qwp ktheory teardrop")
+    code, out, err = run_streams(["ktheory", "teardrop", "x", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: qwp ktheory teardrop")
+    assert "argument n: invalid int value: 'x'" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_rejected_flag_value_names_the_reason():
+    for argv, reason in (
+        (["normalize", "z0", "--n", "1", "--q0", "0.5"],
+         "argument --q0: '0.5' is not an exact rational; write it as p/r"),
+        (["normalize", "z0", "--q0", "1/0", "--n", "1"], "argument --q0: bad rational '1/0'"),
+        (["normalize", "z0", "--weights", "1,x"],
+         "argument --weights: bad weights '1,x'; expected comma-separated integers"),
+    ):
+        code, out, err = run_streams(argv)
+        assert code == 2 and out == "", argv
+        assert reason in err and "invalid" not in err, err
+
+
+# Every subcommand, with exit-0, exit-1 and exit-2 calls, help, --config
+# and --output; the flags of one call must not reach the next.
+def reuse_argvs(tmp):
+    cfg = tmp / "run.cfg"
+    cfg.write_text("cutoff = 4\nq0 = 1/3\n")
+    return [
+        ["normalize", "z0*z0", "--n", "1"],
+        ["normalize", "z0 w*", "--space", "sigma", "--n", "1", "--output", str(tmp / "out.json")],
+        ["normalize", "z9", "--n", "1"],
+        ["grading", "degree", "z0 + z0 z1*", "--n", "1", "--weights", "1,2"],
+        ["grading", "degree", "z0 z0 + z0 z1", "--space", "wp", "--weights", "1,2"],
+        ["grading", "certify", "--space", "lens", "--N", "2", "--weights", "1,1"],
+        ["grading", "certify", "--space", "sphere", "--weights", "2,3"],
+        ["grading", "certify", "--space", "wp", "--weights", "1,2", "--method", "ansatz"],
+        ["grading", "certify", "--weights", "1,2", "--method", "ansatz"],
+        ["ktheory", "lens", "--N", "3", "--weights", "1,1,2"],
+        ["ktheory", "teardrop", "2", "3"],
+        ["ktheory", "teardrop", "x", "1"],
+        ["ktheory", "teardrop", "--help"],
+        ["ktheory", "real-teardrop", "2", "1", "--seed", "5"],
+        ["rep", "assemble", "z1", "--family", "sphere", "--n", "1", "--q0", "1/2", "--cutoff", "2"],
+        ["rep", "verify", "--family", "sphere", "--n", "1", "--config", str(cfg)],
+        ["rep", "verify", "--family", "sphere", "--n", "1"],
+        ["rep", "verify", "--family", "sphere", "--n", "1", "--q0", "0.5"],
+        ["rep", "verify", "--family", "bar", "--n", "1", "--k", "1", "--q0", "1/2",
+         "--cutoff", "4", "--tolerance", "1e-30"],
+        ["rep", "sectors", "--family", "sigma", "--n", "1", "--m", "2", "--q0", "1/2",
+         "--cutoff", "5", "--lam", "1/4", "--sign", "-1"],
+        ["rep", "fredholm", "z0 z0*", "--n", "1", "--m", "1", "--q0", "1/2", "--cutoff", "4"],
+        ["suite", "--select", "teardrop-k-groups,k0-alternatives", "--seed", "7"],
+        ["suite", "--select", "bogus"],
+        ["grading"],
+        ["nonsense"],
+    ]
+
+
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path):
+    argvs = reuse_argvs(tmp_path)
+    forwards = [run_streams(argv) for argv in argvs]
+    backwards = [run_streams(argv) for argv in reversed(argvs)][::-1]
+    assert forwards == backwards
+    assert {code for code, _, _ in forwards} == {0, 1, 2}
+    assert (tmp_path / "out.json").read_text() == forwards[1][1]
+    assert build_parser() is build_parser()
 
 
 # -- report stability -------------------------------------------------------------
