@@ -28,11 +28,9 @@ from itertools import product
 from qwp.grading import (
     GradingSpec,
     INHOMOGENEOUS,
-    ResolutionOfIdentity,
     TowerSpec,
     bezout_lens_resolution,
     check_strong_grading,
-    compose_resolutions,
     compose_tower_resolutions,
     degree,
     homogeneous_components,
@@ -301,10 +299,6 @@ def report_schema(command):
     return json.loads(files("qwp").joinpath("schemas", name).read_text(encoding="utf-8"))
 
 
-def _group_json(group):
-    return group.to_json()
-
-
 def _residual_checks(per_relation, tolerance):
     checks = []
     for name in sorted(per_relation):
@@ -358,48 +352,17 @@ def _cmd_grading_degree(args, config, q0):
     return report, 0
 
 
-def _certify_ansatz(space, g, degrees, config):
-    """Undetermined-coefficients route; only the scaled gradings have one."""
-    if g.scale == 1:
-        raise UsageError("the ansatz method applies to wp and rp kinds only")
-    res = weighted_resolution(
-        space.weights, pres=space.presentation, method="ansatz", degree_cap=config.degree_cap
-    )
-    entries = {}
-    for d in sorted(set(degrees), key=lambda v: (abs(v), v)):
-        if d == 0:
-            one = AlgebraElement.one(space.presentation)
-            cert = ResolutionOfIdentity(0, ((one, one),))
-        else:
-            base = res["res_plus"] if d > 0 else res["res_minus"]
-            cert = base
-            for _ in range(abs(d) - 1):
-                cert = compose_resolutions(cert, base, g)
-        verdict = verify_resolution(cert, g)
-        entries[d] = {
-            "degree": d,
-            "certified": verdict["valid"],
-            "resolution": cert,
-            "verification": verdict,
-            "note": "" if verdict["valid"] else "constructed certificate failed verification",
-        }
-    return {
-        "degrees": entries,
-        "all_certified": all(e["certified"] for e in entries.values()),
-    }
-
-
 def _cmd_grading_certify(args, config, q0):
     space = _resolve_space(args, q0)
     g = space.grading()
     degrees = _parse_int_list(args.degrees, "degree list") if args.degrees else (1, -1)
-    if args.method == "ansatz":
-        result = _certify_ansatz(space, g, degrees, config)
-    else:
-        result = check_strong_grading(space.presentation, g, degrees)
+    if args.method == "ansatz" and g.scale == 1:
+        raise UsageError("the ansatz method applies to wp and rp kinds only")
+    result = check_strong_grading(
+        space.presentation, g, degrees, method=args.method, degree_cap=config.degree_cap
+    )
     entries = []
-    for d in sorted(result["degrees"], key=lambda v: (abs(v), v)):
-        entry = result["degrees"][d]
+    for d, entry in result["degrees"].items():
         res = entry["resolution"]
         verdict = entry["verification"]
         entries.append(
@@ -441,8 +404,8 @@ def _cmd_ktheory_lens(args, config, q0):
         "status": "ok",
         "N": args.N,
         "weights": list(args.weights),
-        "K0": _group_json(out["K0"]),
-        "K1": _group_json(out["K1"]),
+        "K0": out["K0"].to_json(),
+        "K1": out["K1"].to_json(),
         "formula_check": out["formula_check"],
     }
     return report, 0
@@ -455,11 +418,11 @@ def _cmd_ktheory_teardrop(args, config, q0):
         "status": "ok",
         "n": args.n,
         "m": args.m,
-        "K0": _group_json(out["K0"]),
-        "K1": _group_json(out["K1"]),
+        "K0": out["K0"].to_json(),
+        "K1": out["K1"].to_json(),
         "decomposition": {
-            "ideal": _group_json(out["decomposition"]["ideal"]),
-            "quotient": _group_json(out["decomposition"]["quotient"]),
+            "ideal": out["decomposition"]["ideal"].to_json(),
+            "quotient": out["decomposition"]["quotient"].to_json(),
         },
     }
     return report, 0
@@ -472,8 +435,8 @@ def _cmd_ktheory_real_teardrop(args, config, q0):
         "status": "ok",
         "n": args.n,
         "m": args.m,
-        "K1": _group_json(out["K1"]),
-        "K0_candidates": [_group_json(g) for g in out["K0_candidates"]],
+        "K1": out["K1"].to_json(),
+        "K0_candidates": [g.to_json() for g in out["K0_candidates"]],
     }
     return report, 0
 
@@ -635,7 +598,7 @@ def check_teardrop_k_groups(config):
             )
             if not ok:
                 failures.append(
-                    {"n": n, "m": m, "K0": _group_json(out["K0"]), "K1": _group_json(out["K1"])}
+                    {"n": n, "m": m, "K0": out["K0"].to_json(), "K1": out["K1"].to_json()}
                 )
     return _verdict("teardrop-k-groups", cases, failures)
 
@@ -675,13 +638,13 @@ def check_k0_alternatives(config):
         cases += 3
         low = real_teardrop_k(1, m)["K0_candidates"]
         if len(low) != 1 or low[0].rank != m or low[0].invariant_factors != (2,):
-            failures.append({"n": 1, "m": m, "candidates": [_group_json(g) for g in low]})
+            failures.append({"n": 1, "m": m, "candidates": [g.to_json() for g in low]})
         mid = real_teardrop_k(2, m)["K0_candidates"]
         if len(mid) != 2:
-            failures.append({"n": 2, "m": m, "candidates": [_group_json(g) for g in mid]})
+            failures.append({"n": 2, "m": m, "candidates": [g.to_json() for g in mid]})
         high = real_teardrop_k(3, m)["K0_candidates"]
         if len(high) != (3 if m % 2 == 0 else 2):
-            failures.append({"n": 3, "m": m, "candidates": [_group_json(g) for g in high]})
+            failures.append({"n": 3, "m": m, "candidates": [g.to_json() for g in high]})
     return _verdict("k0-alternatives", cases, failures)
 
 

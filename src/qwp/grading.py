@@ -547,9 +547,16 @@ def weighted_resolution(m, pres=None, method="triangular", degree_cap=None):
     return {"res_plus": res_plus, "res_minus": res_minus}
 
 
-def _lens_certificate(lens_res, k, g):
-    """Lens certificate for target k, composing the +-1 inputs."""
-    base = lens_res["res_plus"] if k > 0 else lens_res["res_minus"]
+def _power(res, k, g):
+    """Certificate for k times the base degree: the +-1 pair of res composed |k| times.
+
+    res is a {"res_plus", "res_minus"} dict; k = 0 gives the unit
+    certificate and leaves res unread.
+    """
+    if k == 0:
+        one = AlgebraElement.one(g.pres)
+        return ResolutionOfIdentity(0, ((one, one),))
+    base = res["res_plus"] if k > 0 else res["res_minus"]
     out = base
     for _ in range(abs(k) - 1):
         out = compose_resolutions(out, base, g)
@@ -602,31 +609,41 @@ def compose_tower_resolutions(tower, lens_res, cyclic_res, g):
                 if k == 0:
                     pairs.append((at, bt))
                     continue
-                shift = _lens_certificate(lens_res, k, g_lens)
+                shift = _power(lens_res, k, g_lens)
                 pairs.extend((at * u, v * bt) for u, v in shift.pairs)
         out[d] = ResolutionOfIdentity(d, tuple(pairs))
     return {"res_plus": out[1], "res_minus": out[-1]}
 
 
-def check_strong_grading(p, g, degrees):
+def check_strong_grading(p, g, degrees, method="triangular", degree_cap=None):
     """Try the applicable constructor at each degree and verify the result.
 
     Returns {"degrees": {d: entry}, "all_certified": bool} where each
     entry carries the certificate (or None), the verification verdict,
     and a note explaining any failure.  Failures are reported, never
-    raised.
+    raised.  Degrees are taken in (|d|, d) order.
+
+    method and degree_cap go to weighted_resolution on scaled gradings
+    only (the weighted lens subalgebra); the tower route builds its lens
+    certificates by the triangular elimination.  When the ansatz exhausts
+    its degree cap, every nonzero degree carries that message as its note.
     """
     if g.pres != p:
         raise ValueError("grading spec was built for a different presentation")
     report = {"degrees": {}, "all_certified": True}
-    cache = {}
+    base = None  # the +-1 certificates, or the error that stopped their construction
     for d in sorted(set(degrees), key=lambda v: (abs(v), v)):
         entry = {"degree": d, "certified": False, "resolution": None, "verification": None, "note": ""}
-        try:
-            res = _certificate_for_degree(p, g, d, cache)
-        except (ValueError, ArithmeticError, AnsatzExhaustionError) as exc:
-            entry["note"] = str(exc)
+        k = _signed_degree(g, d)
+        if k and base is None:
+            try:
+                base = _base_resolutions(p, g, method, degree_cap)
+            except (ValueError, ArithmeticError, AnsatzExhaustionError) as exc:
+                base = exc
+        if k and isinstance(base, Exception):
+            entry["note"] = str(base)
         else:
+            res = _power(base, k, g)
             verdict = verify_resolution(res, g)
             entry["resolution"] = res
             entry["verification"] = verdict
@@ -638,46 +655,26 @@ def check_strong_grading(p, g, degrees):
     return report
 
 
-def _certificate_for_degree(p, g, d, cache):
-    one = AlgebraElement.one(p)
+def _signed_degree(g, d):
+    """d as a multiple of the +-1 base degree, taking the shorter way round Z_N."""
+    if not g.modulus:
+        return d
+    d %= g.modulus
+    return d if d <= g.modulus - d else d - g.modulus
+
+
+def _base_resolutions(p, g, method, degree_cap):
+    """The {"res_plus", "res_minus"} certificates that every degree of g is a power of."""
     if g.modulus:
-        d %= g.modulus
-        if d == 0:
-            return ResolutionOfIdentity(0, ((one, one),))
-        if "cyclic" not in cache:
-            cache["cyclic"] = {
-                1: bezout_lens_resolution(g.modulus, p.n, g.weights, target=1, pres=p),
-                -1: bezout_lens_resolution(g.modulus, p.n, g.weights, target=-1, pres=p),
-            }
-        plus, minus = cache["cyclic"][1], cache["cyclic"][-1]
-        if d <= g.modulus - d:
-            out = plus
-            for _ in range(d - 1):
-                out = compose_resolutions(out, plus, g)
-        else:
-            out = minus
-            for _ in range(g.modulus - d - 1):
-                out = compose_resolutions(out, minus, g)
-        return out
-    if d == 0:
-        return ResolutionOfIdentity(0, ((one, one),))
+        return {
+            "res_plus": bezout_lens_resolution(g.modulus, p.n, g.weights, target=1, pres=p),
+            "res_minus": bezout_lens_resolution(g.modulus, p.n, g.weights, target=-1, pres=p),
+        }
     if g.scale != 1:
-        if "lens" not in cache:
-            cache["lens"] = weighted_resolution(g.weights, pres=p)
-        return _lens_certificate(cache["lens"], d, g)
+        return weighted_resolution(g.weights, pres=p, method=method, degree_cap=degree_cap)
     if g.weights[0] != 1:
         raise ValueError("no constructor applies: the Z-grading route needs first weight 1")
-    if "tower" not in cache:
-        N = math.prod(g.weights)
-        lens = weighted_resolution(g.weights, pres=p)
-        cyclic = {
-            "res_plus": bezout_lens_resolution(N, p.n, g.weights, target=1, pres=p),
-            "res_minus": bezout_lens_resolution(N, p.n, g.weights, target=-1, pres=p),
-        }
-        cache["tower"] = compose_tower_resolutions(TowerSpec(N), lens, cyclic, g)
-    tower = cache["tower"]
-    base = tower["res_plus"] if d > 0 else tower["res_minus"]
-    out = base
-    for _ in range(abs(d) - 1):
-        out = compose_resolutions(out, base, g)
-    return out
+    N = math.prod(g.weights)
+    lens = weighted_resolution(g.weights, pres=p)
+    cyclic = _base_resolutions(p, GradingSpec(p, g.weights, modulus=N), method, degree_cap)
+    return compose_tower_resolutions(TowerSpec(N), lens, cyclic, g)

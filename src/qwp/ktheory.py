@@ -364,6 +364,16 @@ def phi_matrix(d):
     return IntMatrix.from_rows(a)
 
 
+def _kernel_cokernel(M):
+    """ker M (free, so given by its rank) and coker M, from M's invariant factors."""
+    factors = smith_normal_form(M)["invariant_factors"]
+    rank = len(factors)
+    return (
+        FGAbelianGroup(M.cols - rank),
+        FGAbelianGroup.from_parts(M.rows - rank, tuple(t for t in factors if t > 1)),
+    )
+
+
 def lens_k_groups(d):
     """K-groups of the lens algebra: K_1 = ker Phi and K_0 = coker Phi.
 
@@ -373,12 +383,7 @@ def lens_k_groups(d):
     compares the Smith-rank answer against it.  Outside that hypothesis
     the computed answer stands alone and the violation is flagged.
     """
-    snf = smith_normal_form(phi_matrix(d))
-    im_rank = len(snf["invariant_factors"])
-    k1 = FGAbelianGroup(d.size - im_rank)
-    k0 = FGAbelianGroup.from_parts(
-        d.size - im_rank, tuple(t for t in snf["invariant_factors"] if t > 1)
-    )
+    k1, k0 = _kernel_cokernel(phi_matrix(d))
     if d.pairwise_coprime:
         expected = sum(math.gcd(d.N, m) for m in d.weights) - d.n
         check = {
@@ -459,13 +464,7 @@ def six_term_k_groups(inp):
         raise ValueError("only sequences with K_1(ideal) = 0 are supported")
     if inp.ideal_k0.invariant_factors or inp.quotient_k1.invariant_factors:
         raise ValueError("K_0(ideal) and K_1(quotient) must be free")
-    snf = smith_normal_form(inp.delta)
-    im_rank = len(snf["invariant_factors"])
-    k1 = FGAbelianGroup(inp.delta.cols - im_rank)
-    coker = FGAbelianGroup.from_parts(
-        inp.delta.rows - im_rank,
-        tuple(t for t in snf["invariant_factors"] if t > 1),
-    )
+    k1, coker = _kernel_cokernel(inp.delta)
     free_rank = coker.rank + inp.quotient_k0.rank
     q_tors = inp.quotient_k0.invariant_factors
     if not q_tors:

@@ -150,22 +150,6 @@ class _Parser:
 
     # -- value algebra -------------------------------------------------------
 
-    def _promote(self, v):
-        if isinstance(v, QScalar):
-            if self.pres is None:
-                raise ParseError("generators not allowed in scalar context", 0)
-            return AlgebraElement.from_scalar(self.pres, v)
-        return v
-
-    def _mul(self, x, y):
-        if isinstance(x, QScalar) and isinstance(y, QScalar):
-            return x * y
-        if isinstance(x, QScalar):
-            return y.scale(x)
-        if isinstance(y, QScalar):
-            return x.scale(y)
-        return x * y
-
     def _div(self, x, y, pos):
         if not isinstance(y, QScalar):
             raise ParseError("divisor must be a scalar", pos)
@@ -174,12 +158,6 @@ class _Parser:
         if isinstance(x, QScalar):
             return x / y
         return x.scale(1 / y)
-
-    def _addsub(self, x, y, op):
-        if isinstance(x, QScalar) and isinstance(y, QScalar):
-            return x + y if op == "+" else x - y
-        x, y = self._promote(x), self._promote(y)
-        return x + y if op == "+" else x - y
 
     # -- grammar -------------------------------------------------------------
 
@@ -194,7 +172,8 @@ class _Parser:
         value = self.term()
         while self.peek().kind == "op" and self.peek().value in "+-":
             op = self.advance().value
-            value = self._addsub(value, self.term(), op)
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
         return value
 
     def term(self):
@@ -205,11 +184,11 @@ class _Parser:
                 self.advance()
                 rhs = self.unary()
                 if tok.value == "*":
-                    value = self._mul(value, rhs)
+                    value = value * rhs
                 else:
                     value = self._div(value, rhs, tok.pos)
             elif tok.kind in _ATOM_STARTS:
-                value = self._mul(value, self.unary())
+                value = value * self.unary()
             else:
                 return value
 
@@ -217,8 +196,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "-":
             self.advance()
-            v = self.unary()
-            return -v if isinstance(v, QScalar) else -v
+            return -self.unary()
         return self.power()
 
     def power(self):

@@ -438,6 +438,22 @@ def test_recorded_certify_reports():
         assert run_streams(entry["argv"]) == recorded, entry["argv"]
 
 
+def test_ansatz_exhaustion_is_a_failed_report():
+    code, report, _ = run(
+        ["grading", "certify", "--space", "wp", "--weights", "1,2", "--method", "ansatz",
+         "--degree-cap", "1", "--degrees", "0,1,-2"]
+    )
+    assert code == 1
+    assert report["status"] == "fail" and report["verified"] is False
+    jsonschema.validate(report, report_schema("grading certify"))
+    by_degree = {entry["degree"]: entry for entry in report["degrees"]}
+    assert by_degree.pop(0)["certified"] is True
+    assert set(by_degree) == {1, -2}
+    for entry in by_degree.values():
+        assert entry["certified"] is False and entry["pairs"] is None
+        assert "total degree <= 1" in entry["note"]
+
+
 def test_output_file_matches_stdout(tmp_path):
     target = tmp_path / "report.json"
     _, _, text = run(["ktheory", "teardrop", "1", "1", "--output", str(target)])
