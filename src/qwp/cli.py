@@ -141,7 +141,6 @@ class RunConfig:
 
     cutoff: int = DEFAULT_CUTOFF
     tolerance: float = DEFAULT_TOLERANCE
-    degree_cap: int = None
     output: str = None
     seed: int = 0
 
@@ -150,8 +149,6 @@ class RunConfig:
             raise UsageError("cutoff must be at least 1")
         if not self.tolerance > 0:
             raise UsageError("tolerance must be positive")
-        if self.degree_cap is not None and self.degree_cap < 1:
-            raise UsageError("degree cap must be at least 1")
 
 
 # -- option parsing -----------------------------------------------------------
@@ -180,7 +177,7 @@ def _parse_int_list(text, what):
 
 def parse_config_file(path):
     """Read key=value lines; '#' starts a comment, blank lines are skipped."""
-    known = {"cutoff", "tolerance", "degree_cap", "output", "seed", "q0"}
+    known = {"cutoff", "tolerance", "output", "seed", "q0"}
     values = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -218,7 +215,6 @@ def _resolve_config(args):
         tolerance=pick(
             getattr(args, "tolerance", None), "tolerance", float, DEFAULT_TOLERANCE
         ),
-        degree_cap=pick(getattr(args, "degree_cap", None), "degree_cap", int, None),
         output=pick(getattr(args, "output", None), "output", str, None),
         seed=pick(getattr(args, "seed", None), "seed", int, 0),
     )
@@ -356,11 +352,7 @@ def _cmd_grading_certify(args, config, q0):
     space = _resolve_space(args, q0)
     g = space.grading()
     degrees = _parse_int_list(args.degrees, "degree list") if args.degrees else (1, -1)
-    if args.method == "ansatz" and g.scale == 1:
-        raise UsageError("the ansatz method applies to wp and rp kinds only")
-    result = check_strong_grading(
-        space.presentation, g, degrees, method=args.method, degree_cap=config.degree_cap
-    )
+    result = check_strong_grading(space.presentation, g, degrees)
     entries = []
     for d, entry in result["degrees"].items():
         res = entry["resolution"]
@@ -386,7 +378,7 @@ def _cmd_grading_certify(args, config, q0):
         "status": "ok" if verified else "fail",
         "space": space.to_json(),
         "grading": {"weights": list(g.weights), "modulus": g.modulus, "scale": g.scale},
-        "method": args.method,
+        "method": "triangular",  # the only constructor; the field keeps report bytes stable
         "verified": verified,
         "degrees": entries,
     }
@@ -913,7 +905,6 @@ def _add_config_options(parser):
     parser.add_argument("--q0", type=parse_rational)
     parser.add_argument("--cutoff", type=int)
     parser.add_argument("--tolerance", type=float)
-    parser.add_argument("--degree-cap", dest="degree_cap", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--output")
     parser.add_argument("--config")
@@ -954,8 +945,11 @@ def build_parser():
     _add_config_options(p)
     p.set_defaults(handler=_cmd_grading_degree)
     p = gsub.add_parser("certify", help="construct and verify resolutions of identity")
-    p.add_argument("--degrees", help="comma-separated degree list, default 1,-1")
-    p.add_argument("--method", choices=("triangular", "ansatz"), default="triangular")
+    p.add_argument(
+        "--degrees",
+        help="comma-separated degree list, default 1,-1; write a list that starts "
+        "with a negative degree as --degrees=-1,2",
+    )
     _add_space_options(p)
     _add_config_options(p)
     p.set_defaults(handler=_cmd_grading_certify)

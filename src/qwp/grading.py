@@ -38,10 +38,6 @@ INHOMOGENEOUS = "inhomogeneous"
 _ONE = QScalar.one()
 
 
-class AnsatzExhaustionError(RuntimeError):
-    """No solution found up to the configured total-degree cap."""
-
-
 @dataclass(frozen=True)
 class GradingSpec:
     """Weights plus group data fixing the degree of every generator.
@@ -411,105 +407,13 @@ def _triangular_coeffs(pres, exps, plus):
     return [coeffs[i] for i in range(n + 1)]
 
 
-def _free_b_monomials(nvars, maxdeg):
-    """Exponent tuples over b_0..b_{nvars-1} of total degree <= maxdeg."""
-    out = [()]
-    for _ in range(nvars):
-        out = [alpha + (e,) for alpha in out for e in range(maxdeg + 1 - sum(alpha))]
-    return out
-
-
-def _solve_linear(columns, rhs):
-    """One exact solution of sum_k x_k columns[k] = rhs over Q(q), or None.
-
-    columns and rhs are dicts keyed by monomial; free unknowns are set to
-    zero, so the first solution found is returned.
-    """
-    keys = sorted(set().union(rhs, *columns), key=repr)
-    ncols = len(columns)
-    rows = [
-        [col.get(key, QScalar.zero()) for col in columns] + [rhs.get(key, QScalar.zero())]
-        for key in keys
-    ]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = _ONE / rows[rank][col]
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][ncols]:
-            return None
-    solution = [QScalar.zero()] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = rows[r][ncols]
-    return solution
-
-
-def _ansatz_coeffs(pres, exps, plus, cap):
-    """Bounded-degree linear solve for the same coefficients C_i.
-
-    Unknowns are coefficients of monomials in the free variables
-    b_0..b_{n-1} (b_n is eliminated by the unit relation); the bound on
-    total degree starts at sum(l_i) and grows to the cap.
-    """
-    n = pres.n
-    prods = []
-    for i in range(n + 1):
-        zp = _zpow(pres, i, exps[i])
-        zs = _zpow(pres, i, exps[i], star=True)
-        prods.append(zs * zp if plus else zp * zs)
-    bmons = {}
-
-    def bmon(alpha):
-        if alpha not in bmons:
-            k = next((k for k, e in enumerate(alpha) if e), None)
-            if k is None:
-                bmons[alpha] = AlgebraElement.one(pres)
-            else:
-                prev = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]
-                bmons[alpha] = bmon(prev) * _belem(pres, k)
-        return bmons[alpha]
-
-    start = sum(exps)
-    rhs = dict(AlgebraElement.one(pres).terms)
-    for bound in range(start, cap + 1):
-        alphas = _free_b_monomials(n, bound)
-        columns = []
-        labels = []
-        for i in range(n + 1):
-            for alpha in alphas:
-                columns.append(dict((bmon(alpha) * prods[i]).terms))
-                labels.append((i, alpha))
-        solution = _solve_linear(columns, rhs)
-        if solution is not None:
-            coeffs = [AlgebraElement.zero(pres) for _ in range(n + 1)]
-            for (i, alpha), c in zip(labels, solution):
-                if c:
-                    coeffs[i] = coeffs[i] + bmon(alpha).scale(c)
-            return coeffs
-    raise AnsatzExhaustionError(
-        f"no resolution coefficients of total degree <= {cap} (started at {start})"
-    )
-
-
-def weighted_resolution(m, pres=None, method="triangular", degree_cap=None):
+def weighted_resolution(m, pres=None):
     """Certificates for degrees -1 and +1 of the index-N Z-grading.
 
     With l_i = prod_{j != i} m_j, the pairs are (C_i z_i^{l_i}, z_i*^{l_i})
     for degree -1 and (D_i z_i*^{l_i}, z_i^{l_i}) for degree +1, where the
-    C_i, D_i are polynomials in the commuting b_0..b_n found either by
-    the triangular elimination (default) or by a bounded-degree linear
-    ansatz (method="ansatz", cap degree_cap, default 4*sum(l_i)).
+    C_i, D_i are polynomials in the commuting b_0..b_n found by the
+    triangular elimination (_triangular_coeffs).
     """
     m = tuple(int(w) for w in m)
     if len(m) < 2 or any(w <= 0 for w in m):
@@ -521,15 +425,8 @@ def weighted_resolution(m, pres=None, method="triangular", degree_cap=None):
         raise ValueError("presentation size does not match the weight tuple")
     total = math.prod(m)
     exps = tuple(total // m[i] for i in range(n + 1))
-    if method == "triangular":
-        minus_c = _triangular_coeffs(pres, exps, plus=False)
-        plus_c = _triangular_coeffs(pres, exps, plus=True)
-    elif method == "ansatz":
-        cap = 4 * sum(exps) if degree_cap is None else degree_cap
-        minus_c = _ansatz_coeffs(pres, exps, plus=False, cap=cap)
-        plus_c = _ansatz_coeffs(pres, exps, plus=True, cap=cap)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    minus_c = _triangular_coeffs(pres, exps, plus=False)
+    plus_c = _triangular_coeffs(pres, exps, plus=True)
     res_minus = ResolutionOfIdentity(
         -1,
         tuple(
@@ -615,18 +512,15 @@ def compose_tower_resolutions(tower, lens_res, cyclic_res, g):
     return {"res_plus": out[1], "res_minus": out[-1]}
 
 
-def check_strong_grading(p, g, degrees, method="triangular", degree_cap=None):
+def check_strong_grading(p, g, degrees):
     """Try the applicable constructor at each degree and verify the result.
 
     Returns {"degrees": {d: entry}, "all_certified": bool} where each
     entry carries the certificate (or None), the verification verdict,
     and a note explaining any failure.  Failures are reported, never
-    raised.  Degrees are taken in (|d|, d) order.
-
-    method and degree_cap go to weighted_resolution on scaled gradings
-    only (the weighted lens subalgebra); the tower route builds its lens
-    certificates by the triangular elimination.  When the ansatz exhausts
-    its degree cap, every nonzero degree carries that message as its note.
+    raised.  Degrees are taken in (|d|, d) order.  When the +-1
+    certificates cannot be built, every nonzero degree carries the reason
+    as its note.
     """
     if g.pres != p:
         raise ValueError("grading spec was built for a different presentation")
@@ -637,8 +531,8 @@ def check_strong_grading(p, g, degrees, method="triangular", degree_cap=None):
         k = _signed_degree(g, d)
         if k and base is None:
             try:
-                base = _base_resolutions(p, g, method, degree_cap)
-            except (ValueError, ArithmeticError, AnsatzExhaustionError) as exc:
+                base = _base_resolutions(p, g)
+            except (ValueError, ArithmeticError) as exc:
                 base = exc
         if k and isinstance(base, Exception):
             entry["note"] = str(base)
@@ -663,7 +557,7 @@ def _signed_degree(g, d):
     return d if d <= g.modulus - d else d - g.modulus
 
 
-def _base_resolutions(p, g, method, degree_cap):
+def _base_resolutions(p, g):
     """The {"res_plus", "res_minus"} certificates that every degree of g is a power of."""
     if g.modulus:
         return {
@@ -671,10 +565,10 @@ def _base_resolutions(p, g, method, degree_cap):
             "res_minus": bezout_lens_resolution(g.modulus, p.n, g.weights, target=-1, pres=p),
         }
     if g.scale != 1:
-        return weighted_resolution(g.weights, pres=p, method=method, degree_cap=degree_cap)
+        return weighted_resolution(g.weights, pres=p)
     if g.weights[0] != 1:
         raise ValueError("no constructor applies: the Z-grading route needs first weight 1")
     N = math.prod(g.weights)
     lens = weighted_resolution(g.weights, pres=p)
-    cyclic = _base_resolutions(p, GradingSpec(p, g.weights, modulus=N), method, degree_cap)
+    cyclic = _base_resolutions(p, GradingSpec(p, g.weights, modulus=N))
     return compose_tower_resolutions(TowerSpec(N), lens, cyclic, g)

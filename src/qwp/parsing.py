@@ -217,6 +217,8 @@ class _Parser:
                         f"scalar power exceeds the exponent budget {MAX_SCALAR_EXPONENT}",
                         exp_tok.pos,
                     )
+                if k < 0 and base.is_zero():
+                    raise ParseError("division by zero", tok.pos)
                 return base ** k
             if k < 0:
                 raise ParseError("negative powers only apply to scalars", tok.pos)

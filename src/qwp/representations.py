@@ -24,14 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from qwp.grading import GradingSpec
+from qwp.grading import GradingSpec, degree
 from qwp.star_algebra import (
     W,
     AlgebraElement,
     AlgebraPresentation,
     InvalidGeneratorError,
     defining_relations,
-    degree_zero_membership,
     make_named_element,
     normalize,
     z,
@@ -367,7 +366,7 @@ def _check_presentation(pres, spec, space):
 def _check_degree_zero(x, n, m):
     if x.pres != AlgebraPresentation.sphere(n):
         raise ValueError("x must live in the sphere presentation with matching n")
-    if not degree_zero_membership(x, GradingSpec(x.pres, (1,) * n + (m,))):
+    if degree(x, GradingSpec(x.pres, (1,) * n + (m,))) != 0:
         raise ValueError("x must be degree zero for the weights (1, ..., 1, m)")
 
 

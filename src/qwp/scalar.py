@@ -39,10 +39,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-# Public name for arbitrary-precision rationals.  Fraction already
-# maintains gcd(numerator, denominator) = 1 with positive denominator.
-BigRational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

@@ -718,13 +718,3 @@ def make_named_element(name, params, pres):
         gens.append(W)
         return normalize(gens, pres)
     raise ParameterError(f"unknown named element {name!r}")
-
-
-def degree_zero_membership(x, gspec):
-    """True iff every monomial of x has the neutral degree under gspec."""
-    from qwp.grading import INHOMOGENEOUS, degree
-
-    if x.is_zero():
-        return True
-    d = degree(x, gspec)
-    return d != INHOMOGENEOUS and d == 0

@@ -23,7 +23,6 @@ from qwp.star_algebra import (
 )
 from qwp.grading import (
     INHOMOGENEOUS,
-    AnsatzExhaustionError,
     GradingSpec,
     ResolutionOfIdentity,
     TowerSpec,
@@ -392,21 +391,6 @@ def test_weighted_sigma_presentation():
     assert verify_resolution(r["res_plus"], g)["valid"]
 
 
-@pytest.mark.parametrize("m", [(1, 2), (2, 3)])
-def test_weighted_ansatz_agrees_with_verifier(m):
-    pres = AlgebraPresentation.sphere(len(m) - 1)
-    r = weighted_resolution(m, pres=pres, method="ansatz")
-    g = lens_spec(m, pres)
-    assert verify_resolution(r["res_minus"], g)["valid"]
-    assert verify_resolution(r["res_plus"], g)["valid"]
-
-
-def test_weighted_ansatz_exhaustion():
-    with pytest.raises(AnsatzExhaustionError) as err:
-        weighted_resolution((1, 2), method="ansatz", degree_cap=1)
-    assert "1" in str(err.value)
-
-
 def test_weighted_input_validation():
     with pytest.raises(ValueError):
         weighted_resolution((3,))
@@ -414,8 +398,6 @@ def test_weighted_input_validation():
         weighted_resolution((1, -2))
     with pytest.raises(ValueError):
         weighted_resolution((1, 2), pres=S2)
-    with pytest.raises(ValueError):
-        weighted_resolution((1, 2), method="magic")
 
 
 # -- composition -------------------------------------------------------------
