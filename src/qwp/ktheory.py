@@ -7,10 +7,16 @@ read off the crossed-product graph of the cyclic grading.  For the
 teardrop quotients the groups come from a six-term exact sequence whose
 connecting map is a small explicit matrix.
 
-Smith normal form over arbitrary-precision integers does all the work:
-it yields ranks, torsion, and determinantal divisors, with every step
-exact.  Results are stored as FGAbelianGroup in canonical invariant-
-factor form, so isomorphism testing is plain equality.
+Every answer is read from invariant factors, which give ranks, torsion
+and determinantal divisors.  _invariant_factors finds them in two exact
+steps: a sparse pass over Z removes pivots of +-1, each of which is one
+invariant factor 1, and the small block that is left is diagonalized
+modulo one of its minors, which keeps its entries bounded.  Phi has +-1
+entries everywhere and nearly all of its factors are 1, so the pass
+does nearly all of the work.  smith_normal_form, which also returns the
+unimodular transforms, is the reference the tests compare against.
+Results are stored as FGAbelianGroup in canonical invariant-factor
+form, so isomorphism testing is plain equality.
 
 One deliberate non-answer: the real teardrop extension problem admits
 several groups (Z_2 either stays a summand or doubles one even torsion
@@ -22,6 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+# Phi is a dense N(n+1)-square matrix, so lens_k_groups refuses larger
+# sizes before building it.  At size 1000 two weights take under a
+# second, while (2; 1,...,1) takes about 30 s.
+MAX_LENS_SIZE = 1000
 
 
 @dataclass(frozen=True)
@@ -140,7 +151,9 @@ class FGAbelianGroup:
 
         Torsion coefficients may arrive in any order and need not form a
         chain; factors equal to 1 contribute nothing.  Canonicalization
-        runs Smith normal form on the diagonal relation matrix.
+        takes the invariant factors of the diagonal relation matrix; with
+        the 1s dropped it has no unit pivot, so the elimination modulo a
+        minor does it.
         """
         coeffs = [int(c) for c in torsion if int(c) != 1]
         if any(c < 1 for c in coeffs):
@@ -150,7 +163,7 @@ class FGAbelianGroup:
         diag = IntMatrix.from_rows(
             [[c if i == j else 0 for j in range(len(coeffs))] for i, c in enumerate(coeffs)]
         )
-        factors = smith_normal_form(diag)["invariant_factors"]
+        factors = _invariant_factors(diag)
         return FGAbelianGroup(rank, tuple(t for t in factors if t > 1))
 
     def direct_sum(self, other):
@@ -249,7 +262,9 @@ def smith_normal_form(M):
     Returns {"U", "S", "V", "invariant_factors"} with U @ M @ V == S,
     U and V unimodular, and S diagonal with nonnegative entries forming
     a divisibility chain d_1 | d_2 | ...; invariant_factors lists the
-    nonzero diagonal entries.  All arithmetic is exact.
+    nonzero diagonal entries.  All arithmetic is exact.  Nothing bounds
+    the entries, and on some small matrices they grow for minutes; for the
+    factors alone, _invariant_factors is the bounded path.
     """
     r, c = M.rows, M.cols
     a = [list(row) for row in M.entries]
@@ -340,6 +355,159 @@ def smith_normal_form(M):
     }
 
 
+def _invariant_factors(M):
+    """Invariant factors of M, as smith_normal_form lists them.
+
+    Rows are kept as {col: value} dicts, with the set of rows that hold
+    each column.  While an entry +-1 is left, the one of least Markowitz
+    cost (row nonzeros - 1) * (column nonzeros - 1) is the pivot: its row,
+    times the entry, is subtracted from the other rows that hold its
+    column, and then its row and column are dropped.  These are unimodular
+    steps, so each pivot adds one invariant factor 1, and the block that
+    is left has the remaining factors; _factors_modulo_minor finds them.
+    """
+    rows = {}
+    cols = {}
+    for i, row in enumerate(M.entries):
+        entries = {j: x for j, x in enumerate(row) if x}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    units = 0
+    while True:
+        best = None
+        for i, row in rows.items():
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = (len(row) - 1) * (len(cols[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, p, c = best
+        prow = rows.pop(p)
+        for j in prow:
+            cols[j].discard(p)
+        s = prow.pop(c)
+        for i in cols.pop(c):
+            row = rows[i]
+            f = row.pop(c) * s
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    row[j] = y
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        units += 1
+    live = sorted(j for j, held in cols.items() if held)
+    residual = [[rows[i].get(j, 0) for j in live] for i in sorted(rows)]
+    return (1,) * units + _factors_modulo_minor(residual)
+
+
+def _rank_and_minor(a):
+    """Rank r of the rows a and |det| of a nonsingular r x r submatrix.
+
+    Fraction-free (Bareiss) elimination with full pivoting: after step k
+    the pivot is the determinant of the leading (k+1)-square submatrix of
+    the permuted matrix, and every division is exact.
+    """
+    a = [list(row) for row in a]
+    m, n = len(a), len(a[0]) if a else 0
+    prev = 1
+    for k in range(min(m, n)):
+        pivot = next(((i, j) for i in range(k, m) for j in range(k, n) if a[i][j]), None)
+        if pivot is None:
+            return k, abs(prev)
+        i, j = pivot
+        a[k], a[i] = a[i], a[k]
+        for row in a:
+            row[k], row[j] = row[j], row[k]
+        for i in range(k + 1, m):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return min(m, n), abs(prev)
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a > 0 and b >= 0.
+
+    When a divides b this is (a, 1, 0), so the step clears b and leaves
+    the pivot's row or column as it is.
+    """
+    if b % a == 0:
+        return a, 1, 0
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _factors_modulo_minor(a):
+    """Invariant factors of the dense rows a, with every entry kept below d.
+
+    Let r be the rank and d a nonzero r x r minor.  d is a multiple of
+    every invariant factor, so the rows together with d*Z^n have the r
+    factors of a followed by d; entries can thus be reduced modulo d
+    throughout (Kannan and Bachem 1979; Domich, Kannan and Trotter 1987).
+    The elimination is smith_normal_form's, with the 2 x 2 unimodular
+    step [[s, u], [-x/g, p/g]] (g = s*p + u*x) in place of division, so
+    each step either clears x or lowers the pivot p to g.
+    """
+    rank, d = _rank_and_minor(a)
+    a = [[x % d for x in row] for row in a]
+    m, n = len(a), len(a[0]) if a else 0
+    factors = []
+    for t in range(min(m, n)):
+        pivot = min(
+            ((a[i][j], i, j) for i in range(t, m) for j in range(t, n) if a[i][j]),
+            default=None,
+        )
+        if pivot is None:
+            break
+        _, i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    p, x = a[t][t], a[i][t]
+                    g, s, u = _xgcd(p, x)
+                    a[t], a[i] = (
+                        [(s * y + u * z) % d for y, z in zip(a[t], a[i])],
+                        [(p // g * z - x // g * y) % d for y, z in zip(a[t], a[i])],
+                    )
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    p, x = a[t][t], a[t][j]
+                    g, s, u = _xgcd(p, x)
+                    for row in a:
+                        y, z = row[t], row[j]
+                        row[t], row[j] = (s * y + u * z) % d, (p // g * z - x // g * y) % d
+            if any(a[i][t] for i in range(t + 1, m)):
+                continue
+            g = math.gcd(a[t][t], d)
+            offender = next(
+                (i for i in range(t + 1, m) for j in range(t + 1, n) if a[i][j] % g), None
+            )
+            if offender is None:
+                break
+            a[t] = [(y + z) % d for y, z in zip(a[t], a[offender])]
+        factors.append(g)
+    return tuple(factors + [d] * (n - len(factors)))[:rank]
+
+
 def phi_matrix(d):
     """Matrix of the endomorphism whose kernel and cokernel are lens K-groups.
 
@@ -366,7 +534,7 @@ def phi_matrix(d):
 
 def _kernel_cokernel(M):
     """ker M (free, so given by its rank) and coker M, from M's invariant factors."""
-    factors = smith_normal_form(M)["invariant_factors"]
+    factors = _invariant_factors(M)
     rank = len(factors)
     return (
         FGAbelianGroup(M.cols - rank),
@@ -380,9 +548,15 @@ def lens_k_groups(d):
     Kernels of integer matrices are free, so K_1 is pure rank.  When the
     weights are pairwise coprime the rank has the closed form
     sum_i gcd(N, m_i) - n (gcd(N, 0) reads as N), and formula_check
-    compares the Smith-rank answer against it.  Outside that hypothesis
-    the computed answer stands alone and the violation is flagged.
+    compares the computed rank against it.  Outside that hypothesis the
+    computed answer stands alone and the violation is flagged.  A
+    descriptor whose size N(n+1) exceeds MAX_LENS_SIZE is refused with a
+    ValueError before Phi is built.
     """
+    if d.size > MAX_LENS_SIZE:
+        raise ValueError(
+            f"lens size N(n+1) = {d.size} exceeds the budget MAX_LENS_SIZE = {MAX_LENS_SIZE}"
+        )
     k1, k0 = _kernel_cokernel(phi_matrix(d))
     if d.pairwise_coprime:
         expected = sum(math.gcd(d.N, m) for m in d.weights) - d.n
@@ -425,15 +599,17 @@ def determinantal_invariants(A):
     """Determinantal divisors d_i and their ratios r_i for i < n.
 
     d_i is the gcd of all nonzero i x i minors of the square matrix A,
-    computed as the product of the first i invariant factors of the
-    Smith normal form (the two agree; zero minors are gcd-neutral).
-    r_1 = d_1 and r_i = d_i / d_{i-1}.  If every minor of a needed size
-    vanishes the chain is degenerate and a ValueError is raised.
+    computed as the product of the first i invariant factors (the two
+    agree; zero minors are gcd-neutral).  _invariant_factors finds them:
+    its unit-pivot pass removes the +-1 entries of the band, and what is
+    left is diagonalized modulo one of its minors.  r_1 = d_1 and
+    r_i = d_i / d_{i-1}.  If every minor of a needed size vanishes the
+    chain is degenerate and a ValueError is raised.
     """
     if A.rows != A.cols:
         raise ValueError("determinantal invariants require a square matrix")
     n = A.rows
-    factors = smith_normal_form(A)["invariant_factors"]
+    factors = _invariant_factors(A)
     if len(factors) < n - 1:
         raise ValueError(
             f"degenerate: every minor of size {len(factors) + 1} vanishes"

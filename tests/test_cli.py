@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwp import ktheory
 from qwp.cli import (
     RunConfig,
     SpaceDescriptor,
@@ -218,6 +219,26 @@ def test_lens_command():
     assert report["K1"] == {"rank": 1, "torsion": []}
     assert report["K0"] == {"rank": 1, "torsion": [3, 3]}
     assert report["formula_check"]["matches"] is True
+
+
+def test_lens_size_budget_exits_one(monkeypatch):
+    class PhiBuilt(Exception):
+        pass
+
+    def no_phi(d):
+        # the budget must be checked before the dense N(n+1)-square Phi is built
+        raise PhiBuilt(f"built Phi of size {d.size}")
+
+    monkeypatch.setattr(ktheory, "phi_matrix", no_phi)
+    for N, weights in ((100000, "1,3"), (ktheory.MAX_LENS_SIZE + 1, "1"), (501, "1,2")):
+        code, report, _ = run(["ktheory", "lens", "--N", str(N), "--weights", weights])
+        assert code == 1 and report["status"] == "error", N
+        assert report["error"]["type"] == "ValueError", N
+        assert "MAX_LENS_SIZE" in report["error"]["message"], N
+        jsonschema.validate(report, report_schema("error"))
+    # a descriptor at the budget gets as far as building Phi
+    code, report, _ = run(["ktheory", "lens", "--N", "500", "--weights", "1,3"])
+    assert code == 1 and report["error"]["type"] == "PhiBuilt"
 
 
 def test_certify_lens_pairs_reverify():

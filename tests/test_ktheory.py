@@ -1,20 +1,27 @@
-"""Smith normal form, lens K-groups, and teardrop candidate enumeration."""
+"""Smith normal form, invariant factors, lens K-groups, and teardrop candidates."""
 
+import json
 import math
 import random
+import time
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.matrices import DomainMatrix
 
 from qwp.ktheory import (
     FGAbelianGroup,
     IntMatrix,
     LensDescriptor,
     SixTermInput,
+    _factors_modulo_minor,
+    _invariant_factors,
     determinantal_invariants,
     gysin_matrix,
     lens_k_groups,
@@ -200,6 +207,7 @@ def test_snf_properties(m):
         abs(expected[i, i]) for i in range(dim) if expected[i, i]
     )
     assert out["invariant_factors"] == sympy_factors
+    assert _invariant_factors(m) == out["invariant_factors"]
 
 
 @given(matrices(4))
@@ -334,6 +342,97 @@ def test_lens_rank_nullity_and_kernel_oracle():
         out = lens_k_groups(d)
         assert out["K1"].rank + im_rank == d.size
         assert out["K1"].rank == len(sympy.Matrix(M.to_json()).nullspace())
+
+
+def sympy_factors(rows):
+    return tuple(
+        abs(int(t)) for t in sympy_invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if t
+    )
+
+
+def test_recorded_invariant_factor_corpus():
+    """Factors of Phi and of the binomial matrices, as smith_normal_form gave them."""
+    corpus = json.loads((Path(__file__).parent / "data" / "invariant_factors.json").read_text())
+    assert len(corpus["lens"]) == 420 and len(corpus["gysin"]) == 32
+    for entry in corpus["lens"]:
+        M = phi_matrix(LensDescriptor(entry["N"], entry["weights"]))
+        assert _invariant_factors(M) == tuple(entry["factors"]), entry
+    for entry in corpus["gysin"]:
+        A = gysin_matrix(entry["n"], entry["m"])
+        assert _invariant_factors(A) == tuple(entry["factors"]), entry
+
+
+# smith_normal_form alone runs for over 30 s on each of the first four
+# (three are excluded from perfbench's lens ladder), so sympy is their
+# reference.  On the 100 x 100 Phi of (20; 18,19,10,5,14) it is the other
+# way round: sympy's invariant_factors takes minutes and
+# smith_normal_form 0.1 s.  On the last two (105 and 120 square) sympy
+# runs for minutes and smith_normal_form for over 2 s, even on the small
+# blocks that the unit-pivot pass leaves.  Ranks over Q and GF(p) check
+# all seven.
+SIZE_LADDER = [
+    (11, (2, 7, 3, 1)),
+    (12, (2, 2, 2, 7)),
+    (15, (1, 2, 7, 11)),
+    (15, (2, 11, 10, 10)),
+    (20, (18, 19, 10, 5, 14)),
+    (15, (11, 7, 3, 8, 9, 7, 9)),
+    (20, (5, 16, 16, 5, 4, 5)),
+]
+
+
+@pytest.mark.parametrize("N,weights", SIZE_LADDER)
+def test_lens_size_ladder_is_fast_and_exact(N, weights):
+    d = LensDescriptor(N, weights)
+    start = time.perf_counter()
+    out = lens_k_groups(d)
+    assert time.perf_counter() - start < 1.0
+    M = phi_matrix(d)
+    factors = _invariant_factors(M)
+    assert out["K1"] == FGAbelianGroup(d.size - len(factors))
+    assert out["K0"] == G(d.size - len(factors), *factors)
+    if d.pairwise_coprime:
+        assert out["K1"].rank == sum(math.gcd(N, m) for m in weights) - d.n
+        assert out["formula_check"]["matches"] is True
+    if d.size <= 60:
+        assert factors == sympy_factors(M.to_json())
+    elif d.size == 100:
+        assert factors == smith_normal_form(M)["invariant_factors"]
+    # the factors prime to p count the rank of M over GF(p)
+    dm = DomainMatrix(M.to_json(), (M.rows, M.cols), sympy.ZZ)
+    assert dm.convert_to(sympy.QQ).rank() == len(factors)
+    for p in sorted({p for t in factors for p in sympy.primefactors(t)} | {2, 3}):
+        assert dm.convert_to(sympy.GF(p)).rank() == sum(1 for t in factors if t % p), p
+
+
+# smith_normal_form runs for over 2 s on A and for over 30 s on 2A, which
+# has no unit entry, so the unit-pivot pass leaves all of it.
+DENSE_BLOCK = [
+    [4, -2, -8, 3, 6, 0, -3],
+    [-1, 6, 5, 6, 8, 0, 9],
+    [0, 4, -5, 0, 0, 8, -5],
+    [-6, 0, 1, 9, 2, 3, 5],
+    [4, 0, 8, 0, 6, -6, -5],
+    [-8, -4, 0, 1, -4, -9, 9],
+    [3, -5, 7, 3, 0, -5, -5],
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dense_block_is_fast_and_exact(k):
+    A = IntMatrix.from_rows([[k * x for x in row] for row in DENSE_BLOCK])
+    start = time.perf_counter()
+    factors = _invariant_factors(A)
+    assert time.perf_counter() - start < 1.0
+    assert factors == sympy_factors(A.to_json())
+    assert math.prod(factors) == abs(A.det())
+
+
+@given(matrices(6), st.sampled_from([1, 2, 3, 6]))
+@settings(max_examples=80, deadline=None)
+def test_factors_modulo_minor_match_sympy(m, k):
+    rows = [[k * x for x in row] for row in m.to_json()]
+    assert _factors_modulo_minor(rows) == sympy_factors(rows)
 
 
 # -- gysin matrix ----------------------------------------------------------------
