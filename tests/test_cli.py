@@ -461,6 +461,13 @@ def test_recorded_certify_reports():
         assert run_streams(entry["argv"]) == recorded, entry["argv"]
 
 
+def test_recorded_error_reports():
+    corpus = json.loads((Path(__file__).parent / "data" / "error_reports.json").read_text())
+    for entry in corpus["entries"]:
+        recorded = (entry["code"], entry["stdout"], entry["stderr"])
+        assert run_streams(entry["argv"]) == recorded, entry["argv"]
+
+
 def test_output_file_matches_stdout(tmp_path):
     target = tmp_path / "report.json"
     _, _, text = run(["ktheory", "teardrop", "1", "1", "--output", str(target)])
