@@ -1021,8 +1021,10 @@ def run_command(argv, stdout=None, stderr=None):
         stderr.write(f"usage error: {err}\n")
         return 2
     except Exception as err:  # noqa: BLE001 - every failure becomes a diagnostic
+        # name the command as its ok report does: "ktheory lens", not "ktheory"
+        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
         diagnostic = {
-            "command": getattr(args, "command", None),
+            "command": command,
             "status": "error",
             "error": {"type": type(err).__name__, "message": str(err)},
         }

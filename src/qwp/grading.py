@@ -15,8 +15,16 @@ sum_i a_i b_i = 1.  Three constructors produce such certificates:
     0 -> Z -(xN)-> Z -> Z_N -> 0 into +-1 certificates for the weighted
     Z-grading of the whole algebra.
 
-All arithmetic is exact over Q(q); verify_resolution re-normalizes the
-pair sums and reports any defect, so no construction is trusted blindly.
+Certificate arithmetic stays on Laurent polynomials in q wherever it can,
+because sums of rational functions with other denominators cost a gcd
+each.  The Bezout cofactors are built over a common denominator D and
+divided by it once per output term.  A product of two elements clears
+each factor (_clear: L*x has only q-power denominators, L in Z[q]),
+multiplies the cleared forms and divides each output term by the two
+L's.  verify_resolution checks sum (L/(La*Lb)) A_i B_i = L on the cleared
+forms, which is exact because multiplying by a nonzero scalar is
+injective; when that check fails it re-normalizes the plain pair sum and
+reports the defect, so no construction is trusted blindly.
 """
 
 from __future__ import annotations
@@ -24,7 +32,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from qwp.scalar import QScalar, _peval, _pmul, _pscale, _psub, _trim
+from qwp.scalar import (
+    QScalar,
+    _from_qpow,
+    _peval,
+    _pexquo,
+    _pgcd,
+    _pmul,
+    _primitive,
+    _psub,
+    _trim,
+)
 from qwp.star_algebra import (
     AlgebraElement,
     AlgebraPresentation,
@@ -34,6 +52,12 @@ from qwp.star_algebra import (
 )
 
 INHOMOGENEOUS = "inhomogeneous"
+
+# Pair-count budget of a composed certificate.  The largest recorded call
+# has 64 pairs; at the budget, sphere (1,1,2) at degree 4 (256 pairs) takes
+# about 55 s and sphere (1,3) at degree 5 (243 pairs) about 2 minutes and
+# 210 MB (2 cores, Python 3.11).
+MAX_CERTIFICATE_PAIRS = 256
 
 _ONE = QScalar.one()
 
@@ -174,11 +198,13 @@ class TowerSpec:
 
 
 def verify_resolution(r, g):
-    """Check degrees and re-normalize the pair sum; never raises on failure.
+    """Check degrees and the pair sum; never raises on failure.
 
     Returns {"valid": bool, "failures": [...], "defect": element or None}
     where failures lists per-pair degree violations and defect is
-    sum a_i b_i - 1 when nonzero.
+    sum a_i b_i - 1 when nonzero.  The sum is checked on cleared forms
+    (_resolves_cleared); only a failed check re-normalizes the plain sum
+    to report its defect.
     """
     pres = g.pres
     # r.target is a group element already; only cyclic targets need reduction
@@ -189,7 +215,6 @@ def verify_resolution(r, g):
         target = r.target
         cotarget = -r.target
     failures = []
-    total = AlgebraElement.zero(pres)
     for idx, (a, b) in enumerate(r.pairs):
         for slot, elem, want in (("a", a, cotarget), ("b", b, target)):
             if elem.is_zero():
@@ -197,21 +222,103 @@ def verify_resolution(r, g):
             d = degree(elem, g)
             if d != want:
                 failures.append({"pair": idx, "slot": slot, "degree": d, "expected": want})
-        total = total + a * b
-    defect = total - AlgebraElement.one(pres)
-    valid = not failures and defect.is_zero()
-    return {"valid": valid, "failures": failures, "defect": None if defect.is_zero() else defect}
+    if _resolves_cleared(r.pairs, pres):
+        defect = None
+    else:
+        total = AlgebraElement.zero(pres)
+        for a, b in r.pairs:
+            total = total + a * b
+        defect = total - AlgebraElement.one(pres)
+        if defect.is_zero():
+            defect = None
+    valid = not failures and defect is None
+    return {"valid": valid, "failures": failures, "defect": defect}
 
 
 def compose_resolutions(r1, r2, g):
     """Certificate for the sum of targets: pairs (a_i c_j, d_j b_i)."""
     pairs = tuple(
-        (a * c, d * b) for a, b in r1.pairs for c, d in r2.pairs
+        (_product(a, c), _product(d, b)) for a, b in r1.pairs for c, d in r2.pairs
     )
     target = r1.target + r2.target
     if g.modulus:
         target %= g.modulus
     return ResolutionOfIdentity(target, pairs)
+
+
+# ---------------------------------------------------------------------------
+# cleared denominators: L*x with only q-power denominators, L in Z[q]
+
+
+def _lcm(polys):
+    """lcm in Z[q] of primitive integer polynomials; (1,) for none."""
+    out = (1,)
+    for p in polys:
+        out = _pmul(out, _pexquo(p, _pgcd(out, p)))
+    return out
+
+
+def _clear(x):
+    """(L, X) with X = L*x free of denominators other than powers of q.
+
+    L is the lcm of the primitive parts of x's coefficient denominators
+    with their q power stripped.  Each coefficient n/(q^k d), d monic with
+    d(0) != 0, becomes n*(L/d)/q^k by exact division, so no gcd is taken
+    beyond the lcm.  Returns ((1,), x) itself when there is nothing to
+    clear.
+    """
+    parts = {}
+    for c in x.terms.values():
+        den = c.den
+        if any(den[:-1]):
+            k = 0
+            while not den[k]:
+                k += 1
+            parts[den[k:]] = None
+    if not parts:
+        return (1,), x
+    prims = {d: _primitive(d)[1] for d in parts}
+    lcm = _lcm(dict.fromkeys(prims.values()))
+    # d is monic, so L/d = lead(p) * L/p for its primitive part p
+    mult = {d: tuple(p[-1] * c for c in _pexquo(lcm, p)) for d, p in prims.items()}
+    terms = {}
+    for mon, c in x.terms.items():
+        den = c.den
+        k = 0
+        while not den[k]:
+            k += 1
+        terms[mon] = _from_qpow(_pmul(c.num, mult[den[k:]] if k < len(den) - 1 else lcm), k)
+    return lcm, AlgebraElement(x.pres, terms)
+
+
+def _product(x, y):
+    """x*y as (Lx*x)(Ly*y) with one division by Lx*Ly per output term."""
+    lx, cx = _clear(x)
+    ly, cy = _clear(y)
+    out = cx * cy
+    den = _pmul(lx, ly)
+    return out if den == (1,) else out.scale(QScalar(1, den))
+
+
+def _resolves_cleared(pairs, pres):
+    """Whether sum a_i b_i = 1, decided on cleared forms; None if none has a denominator.
+
+    With (La, A_i) = _clear(a_i), (Lb, B_i) = _clear(b_i) and L the lcm of
+    the La*Lb, checks sum (L/(La*Lb)) A_i B_i = L, which is L times the
+    plain identity.  Every scalar on the way has a q-power denominator.
+    """
+    cleared = [(_clear(a), _clear(b)) for a, b in pairs]
+    dens = [_pmul(la, lb) for (la, _), (lb, _) in cleared]
+    if all(d == (1,) for d in dens):
+        return None
+    lcm = _lcm(dict.fromkeys(dens))
+    total = AlgebraElement.zero(pres)
+    for ((_, ca), (_, cb)), d in zip(cleared, dens):
+        term = ca * cb
+        if d != lcm:
+            term = term.scale(QScalar(_pexquo(lcm, d)))
+        total = total + term
+    return total == AlgebraElement.one(pres).scale(QScalar(lcm))
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +339,22 @@ def _series_quotient(num, den, L):
 
 
 def _linear_cofactors(prod, lin):
-    """(c, f) with c*prod + f*lin = 1 for a linear lin = (l0, l1) coprime to prod.
+    """(D, c, f) with c*prod + f*lin = D for a linear lin = (l0, l1) coprime to prod.
 
-    c is the constant 1/prod(r) at the root r = -l0/l1 of lin, and
-    f = (1 - c*prod)/lin comes from one synthetic division; these are the
-    minimal-degree Bezout cofactors.
+    D = prod(r) at the root r = -l0/l1 of lin, c = 1, and f = (D - prod)/lin
+    comes from one synthetic division; c/D and f/D are the minimal-degree
+    Bezout cofactors.  With Laurent coefficients and l1 a signed power of
+    q, D and f stay Laurent polynomials, so no gcd is taken.
     """
     l0, l1 = lin
     inv = _ONE / l1
-    c = _ONE / _peval(prod, -l0 * inv)
-    num = _psub((_ONE,), _pscale(prod, c))
+    D = _peval(prod, -l0 * inv)
+    num = _psub((D,), prod)
     quot = [QScalar.zero()] * (len(num) - 1)
     carry = QScalar.zero()
     for k in range(len(num) - 1, 0, -1):
         carry = quot[k - 1] = (num[k] - l0 * carry) * inv
-    return (c,), tuple(quot)
+    return D, (_ONE,), tuple(quot)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +403,9 @@ def bezout_lens_resolution(N, n, weights=None, target=1, pres=None):
     turn the certificate into a polynomial Bezout identity in a between a
     product and a linear factor.  The two never share a root (q^{-2s} vs
     q^2, distinct for 0 < q < 1), so the identity exists, and because one
-    side is linear its cofactors have a closed form (_linear_cofactors).
+    side is linear its cofactors have a closed form (_linear_cofactors),
+    evaluated at a over their common denominator D, which each pair
+    element is divided by once.
     """
     if N < 1:
         raise ValueError("modulus N must be a positive integer")
@@ -317,10 +427,17 @@ def bezout_lens_resolution(N, n, weights=None, target=1, pres=None):
         p = (_ONE,)
         for s in range(N - 1):
             p = _pmul(p, (_ONE, -QScalar.q(2 * s)))
-        alpha, beta = _linear_cofactors(p, (_ONE, -QScalar.q(-2)))
+        D, alpha, beta = _linear_cofactors(p, (_ONE, -QScalar.q(-2)))
+        inv = _ONE / D
         pairs = (
-            (_poly_at(alpha, a, pres) * _zpow(pres, 0, N - 1), _zpow(pres, 0, N - 1, star=True)),
-            (_poly_at(beta, a, pres) * _zpow(pres, 0, 1, star=True), _zpow(pres, 0, 1)),
+            (
+                (_poly_at(alpha, a, pres) * _zpow(pres, 0, N - 1)).scale(inv),
+                _zpow(pres, 0, N - 1, star=True),
+            ),
+            (
+                (_poly_at(beta, a, pres) * _zpow(pres, 0, 1, star=True)).scale(inv),
+                _zpow(pres, 0, 1),
+            ),
         )
         return ResolutionOfIdentity(1, pairs)
     # gamma*(1 - x) + delta*prod_{s=1}^{N-1}(1 - q^{-2s}x) = 1, with
@@ -328,10 +445,17 @@ def bezout_lens_resolution(N, n, weights=None, target=1, pres=None):
     p = (_ONE,)
     for s in range(1, N):
         p = _pmul(p, (_ONE, -QScalar.q(-2 * s)))
-    delta, gamma = _linear_cofactors(p, (_ONE, -_ONE))
+    D, delta, gamma = _linear_cofactors(p, (_ONE, -_ONE))
+    inv = _ONE / D
     pairs = (
-        (_poly_at(gamma, a, pres) * _zpow(pres, 0, 1), _zpow(pres, 0, 1, star=True)),
-        (_poly_at(delta, a, pres) * _zpow(pres, 0, N - 1, star=True), _zpow(pres, 0, N - 1)),
+        (
+            (_poly_at(gamma, a, pres) * _zpow(pres, 0, 1)).scale(inv),
+            _zpow(pres, 0, 1, star=True),
+        ),
+        (
+            (_poly_at(delta, a, pres) * _zpow(pres, 0, N - 1, star=True)).scale(inv),
+            _zpow(pres, 0, N - 1),
+        ),
     )
     return ResolutionOfIdentity(N - 1, pairs)
 
@@ -448,12 +572,22 @@ def _power(res, k, g):
     """Certificate for k times the base degree: the +-1 pair of res composed |k| times.
 
     res is a {"res_plus", "res_minus"} dict; k = 0 gives the unit
-    certificate and leaves res unread.
+    certificate and leaves res unread.  The result has p^|k| pairs for a
+    base of p pairs; a count above MAX_CERTIFICATE_PAIRS is refused with a
+    ValueError before anything is composed.
     """
     if k == 0:
         one = AlgebraElement.one(g.pres)
         return ResolutionOfIdentity(0, ((one, one),))
     base = res["res_plus"] if k > 0 else res["res_minus"]
+    count = 1
+    for _ in range(abs(k)):
+        count *= len(base.pairs)
+        if count > MAX_CERTIFICATE_PAIRS:
+            raise ValueError(
+                f"a certificate of {len(base.pairs)}^{abs(k)} pairs exceeds the budget "
+                f"MAX_CERTIFICATE_PAIRS = {MAX_CERTIFICATE_PAIRS}"
+            )
     out = base
     for _ in range(abs(k) - 1):
         out = compose_resolutions(out, base, g)
@@ -507,7 +641,7 @@ def compose_tower_resolutions(tower, lens_res, cyclic_res, g):
                     pairs.append((at, bt))
                     continue
                 shift = _power(lens_res, k, g_lens)
-                pairs.extend((at * u, v * bt) for u, v in shift.pairs)
+                pairs.extend((_product(at, u), _product(v, bt)) for u, v in shift.pairs)
         out[d] = ResolutionOfIdentity(d, tuple(pairs))
     return {"res_plus": out[1], "res_minus": out[-1]}
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwp import ktheory
+from qwp import grading, ktheory
 from qwp.cli import (
     RunConfig,
     SpaceDescriptor,
@@ -461,11 +462,42 @@ def test_recorded_certify_reports():
         assert run_streams(entry["argv"]) == recorded, entry["argv"]
 
 
-def test_recorded_error_reports():
+def test_error_reports_name_the_full_command():
+    # recorded when a diagnostic named only the group ("ktheory" for ktheory lens);
+    # now it names the command as the ok report does, and no other byte moves
     corpus = json.loads((Path(__file__).parent / "data" / "error_reports.json").read_text())
     for entry in corpus["entries"]:
-        recorded = (entry["code"], entry["stdout"], entry["stderr"])
-        assert run_streams(entry["argv"]) == recorded, entry["argv"]
+        argv = entry["argv"]
+        command = " ".join(argv[:2]) if argv[0] in ("grading", "ktheory", "rep") else argv[0]
+        stdout = entry["stdout"].replace(f'"command": "{argv[0]}"', f'"command": "{command}"', 1)
+        assert run_streams(argv) == (entry["code"], stdout, entry["stderr"]), argv
+        report = json.loads(stdout)
+        assert report["command"] == command
+        jsonschema.validate(report, report_schema("error"))
+
+
+def test_certificate_pair_budget_exits_one(monkeypatch):
+    class Composed(Exception):
+        pass
+
+    def no_compose(r1, r2, g):
+        # the budget must be checked before any pair is composed
+        raise Composed(f"composed {len(r1.pairs)} x {len(r2.pairs)} pairs")
+
+    monkeypatch.setattr(grading, "compose_resolutions", no_compose)
+    base = ["grading", "certify", "--space", "sphere", "--weights", "1,3"]
+    for degrees in ("--degrees=10", "--degrees=-6", "--degrees=1000000000000"):
+        start = time.perf_counter()
+        code, report, _ = run(base + [degrees])
+        assert time.perf_counter() - start < 5, degrees
+        assert code == 1 and report["command"] == "grading certify", degrees
+        assert report["error"]["type"] == "ValueError", degrees
+        assert "MAX_CERTIFICATE_PAIRS" in report["error"]["message"], degrees
+        jsonschema.validate(report, report_schema("error"))
+    # 3^5 = 243 pairs are within the budget and get as far as composing
+    assert 3 ** 5 <= grading.MAX_CERTIFICATE_PAIRS
+    code, report, _ = run(base + ["--degrees=5"])
+    assert code == 1 and report["error"]["type"] == "Composed"
 
 
 def test_output_file_matches_stdout(tmp_path):

@@ -1,5 +1,6 @@
 """Weighted degrees, homogeneous splitting, and strong-grading certificates."""
 
+import functools
 import json
 import math
 import random
@@ -11,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwp.scalar import QScalar, _pmul
+from qwp.scalar import QScalar, _padd, _pmul
 from qwp.star_algebra import (
     AlgebraElement,
     AlgebraPresentation,
@@ -34,7 +35,9 @@ from qwp.grading import (
     homogeneous_components,
     verify_resolution,
     weighted_resolution,
+    _clear,
     _linear_cofactors,
+    _resolves_cleared,
 )
 
 q = QScalar.q()
@@ -308,6 +311,12 @@ def _bezout_identities(N):
     )
 
 
+def _bezout_cofactors(p, lin):
+    """The cofactors c/D and f/D with (c/D)*p + (f/D)*lin = 1."""
+    D, c, f = _linear_cofactors(p, lin)
+    return tuple(v / D for v in c), tuple(v / D for v in f)
+
+
 def _to_sympy(c, qs):
     num = sum(sympy.Rational(Fraction(v)) * qs ** i for i, v in enumerate(c.num))
     den = sum(sympy.Rational(Fraction(v)) * qs ** i for i, v in enumerate(c.den))
@@ -322,7 +331,7 @@ def test_bezout_coefficients_match_sympy_gcdex():
     qs, x = sympy.symbols("q x")
     for N in (2, 3, 4, 5):
         for p, lin in _bezout_identities(N):
-            c, f = _linear_cofactors(p, lin)
+            c, f = _bezout_cofactors(p, lin)
             s_, t_, h = sympy.gcdex(sympy.Poly(_sympy_poly(p, qs, x), x, domain=f"QQ({qs})"),
                                     sympy.Poly(_sympy_poly(lin, qs, x), x, domain=f"QQ({qs})"))
             c_ref = sympy.Poly(s_ / h, x).all_coeffs()[::-1]
@@ -335,7 +344,11 @@ def test_bezout_coefficients_match_sympy_gcdex():
 def test_bezout_identity_exact_and_denominators_vanish_at_1():
     for N in (2, 3, 4, 5):
         for p, lin in _bezout_identities(N):
-            c, f = _linear_cofactors(p, lin)
+            D, c_raw, f_raw = _linear_cofactors(p, lin)
+            assert _padd(_pmul(c_raw, p), _pmul(f_raw, lin)) == (D,)
+            # Laurent polynomials: no denominator other than a power of q
+            assert not any(any(v.den[:-1]) for v in (D,) + c_raw + f_raw)
+            c, f = _bezout_cofactors(p, lin)
             total = [QScalar.zero()] * max(len(c) + len(p), len(f) + len(lin))
             for i, v in enumerate(_pmul(c, p)):
                 total[i] = total[i] + v
@@ -451,6 +464,108 @@ def test_tower_rejects_bad_inputs():
     }
     with pytest.raises(ValueError):
         compose_tower_resolutions(tower, lens, broken, g)
+
+
+# -- cleared verification ----------------------------------------------------
+
+
+@functools.cache
+def _valid_certificates():
+    """A Bezout, a tower and a weighted certificate with their gradings."""
+    tower = compose_tower_resolutions(*tower_inputs(2, S1), GradingSpec(pres=S1, weights=(1, 2)))
+    return {
+        "bezout": (bezout_lens_resolution(3, 1), GradingSpec(pres=S1, weights=(1, 1), modulus=3)),
+        "tower": (tower["res_minus"], GradingSpec(pres=S1, weights=(1, 2))),
+        "weighted": (weighted_resolution((2, 3))["res_plus"], lens_spec((2, 3), S1)),
+    }
+
+
+def _direct_defect(r, pres):
+    total = AlgebraElement.zero(pres)
+    for a, b in r.pairs:
+        total = total + a * b
+    return total - AlgebraElement.one(pres)
+
+
+def _replace_pair(r, idx, a, b):
+    pairs = list(r.pairs)
+    pairs[idx] = (a, b)
+    return ResolutionOfIdentity(r.target, tuple(pairs))
+
+
+def _has_denominator(r):
+    return any(
+        any(c.den[:-1]) for pair in r.pairs for x in pair for c in x.terms.values()
+    )
+
+
+def test_clear_multiplies_out_non_q_power_denominators():
+    r, _ = _valid_certificates()["bezout"]
+    for a, b in r.pairs:
+        for x in (a, b):
+            lcm, cleared = _clear(x)
+            assert all(type(c) is int for c in lcm)
+            assert cleared == x.scale(QScalar(lcm))
+            assert not any(any(c.den[:-1]) for c in cleared.terms.values())
+    assert _has_denominator(r)
+    weighted, _ = _valid_certificates()["weighted"]
+    assert not _has_denominator(weighted)
+    a = weighted.pairs[0][0]
+    assert _clear(a) == ((1,), a) and _clear(a)[1] is a
+
+
+@pytest.mark.parametrize("name", ["bezout", "tower", "weighted"])
+def test_perturbed_coefficient_rejected_by_both_checks(name):
+    r, g = _valid_certificates()[name]
+    assert verify_resolution(r, g)["valid"]
+    assert _resolves_cleared(r.pairs, g.pres) is (None if name == "weighted" else True)
+    a, b = r.pairs[-1]
+    mon, coeff = a.sorted_terms()[0]
+    # a denominator that is not a power of q, so the cleared check runs
+    bad = _replace_pair(r, len(r.pairs) - 1, a + AlgebraElement(S1, {mon: coeff / (1 + q)}), b)
+    direct = _direct_defect(bad, g.pres)
+    assert not direct.is_zero()
+    assert _resolves_cleared(bad.pairs, g.pres) is False
+    verdict = verify_resolution(bad, g)
+    assert not verdict["valid"] and verdict["failures"] == []
+    assert verdict["defect"] == direct
+    assert verdict["defect"].to_json() == direct.to_json()
+    assert str(verdict["defect"]) == str(direct)
+
+
+_PAIR_SCALARS = (
+    one,
+    q ** -2,
+    -one,
+    (1 + q) / (1 - q ** 3),
+    (1 - q ** 3) / (1 + q),
+    q / (1 + 2 * q ** 2),
+    (1 + 2 * q ** 2) / q,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["bezout", "tower", "weighted"]),
+    idx=st.integers(min_value=0, max_value=20),
+    s=st.sampled_from(_PAIR_SCALARS),
+    t=st.sampled_from(_PAIR_SCALARS),
+)
+def test_cleared_and_direct_verdicts_agree(name, idx, s, t):
+    # (a, b) -> (s a, t b) keeps the identity exactly when s t = 1; (s a, b/s)
+    # always keeps it, with the pairs' denominators no longer alike
+    r, g = _valid_certificates()[name]
+    idx %= len(r.pairs)
+    a, b = r.pairs[idx]
+    for u in (t, one / s):
+        changed = _replace_pair(r, idx, a.scale(s), b.scale(u))
+        direct = _direct_defect(changed, g.pres)
+        assert direct.is_zero() == (s * u == one)
+        cleared = _resolves_cleared(changed.pairs, g.pres)
+        assert cleared is (direct.is_zero() if _has_denominator(changed) else None)
+        verdict = verify_resolution(changed, g)
+        assert verdict["valid"] == direct.is_zero()
+        assert verdict["defect"] == (None if direct.is_zero() else direct)
 
 
 # -- check_strong_grading ----------------------------------------------------
