@@ -287,7 +287,8 @@ def _clear(x):
         k = 0
         while not den[k]:
             k += 1
-        terms[mon] = _from_qpow(_pmul(c.num, mult[den[k:]] if k < len(den) - 1 else lcm), k)
+        # a pure q-power denominator leaves (1,), which takes all of L
+        terms[mon] = _from_qpow(_pmul(c.num, mult.get(den[k:], lcm)), k)
     return lcm, AlgebraElement(x.pres, terms)
 
 
