@@ -270,10 +270,6 @@ def _rep_spec(args, q0):
         raise UsageError(str(err)) from None
 
 
-def _rep_presentation(family, n):
-    return AlgebraPresentation("sigma" if family == "sigma" else "sphere", n)
-
-
 # -- report plumbing ----------------------------------------------------------
 
 
@@ -435,7 +431,7 @@ def _cmd_ktheory_real_teardrop(args, config, q0):
 
 def _cmd_rep_assemble(args, config, q0):
     spec = _rep_spec(args, q0)
-    pres = _rep_presentation(args.family, args.n)
+    pres = AlgebraPresentation(spec.pres_kind, args.n)
     space = TruncatedSpace(args.n, config.cutoff)
     element = parse_expression(args.expression, pres)
     op = apply_element(element, spec, space)
@@ -460,7 +456,7 @@ def _cmd_rep_assemble(args, config, q0):
 
 def _cmd_rep_verify(args, config, q0):
     spec = _rep_spec(args, q0)
-    pres = _rep_presentation(args.family, args.n)
+    pres = AlgebraPresentation(spec.pres_kind, args.n)
     space = TruncatedSpace(args.n, config.cutoff)
     out = relation_residual(pres, spec, space)
     checks = _residual_checks(out["per_relation"], config.tolerance)

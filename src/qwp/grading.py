@@ -18,13 +18,15 @@ sum_i a_i b_i = 1.  Three constructors produce such certificates:
 Certificate arithmetic stays on Laurent polynomials in q wherever it can,
 because sums of rational functions with other denominators cost a gcd
 each.  The Bezout cofactors are built over a common denominator D and
-divided by it once per output term.  A product of two elements clears
-each factor (_clear: L*x has only q-power denominators, L in Z[q]),
-multiplies the cleared forms and divides each output term by the two
-L's.  verify_resolution checks sum (L/(La*Lb)) A_i B_i = L on the cleared
-forms, which is exact because multiplying by a nonzero scalar is
-injective; when that check fails it re-normalizes the plain pair sum and
-reports the defect, so no construction is trusted blindly.
+divided by it once per output term.  Every other product works on
+cleared forms: _clear(x) = (L, L*x) with only q-power denominators left
+and L in Z[q], _times multiplies two cleared forms, and _over divides a
+cleared form back by its L once per output term.  verify_resolution sums
+(L/L_i) P_i - L over the cleared pair products (L_i, P_i), with L the lcm
+of the L_i, and reads the defect as that sum over L.  Canonical forms are
+unique, so this defect is exactly sum a_i b_i - 1, whether or not the
+certificate carries denominators and whether or not it passes; no
+construction is trusted blindly.
 """
 
 from __future__ import annotations
@@ -192,19 +194,15 @@ class TowerSpec:
         if self.modulus < 1:
             raise ValueError("tower modulus must be a positive integer")
 
-    @property
-    def scale(self):
-        return self.modulus
-
 
 def verify_resolution(r, g):
     """Check degrees and the pair sum; never raises on failure.
 
     Returns {"valid": bool, "failures": [...], "defect": element or None}
     where failures lists per-pair degree violations and defect is
-    sum a_i b_i - 1 when nonzero.  The sum is checked on cleared forms
-    (_resolves_cleared); only a failed check re-normalizes the plain sum
-    to report its defect.
+    sum a_i b_i - 1 when nonzero.  The sum is taken on cleared forms:
+    with (L_i, P_i) the cleared product of pair i and L the lcm of the
+    L_i, the defect is (sum (L/L_i) P_i - L) / L.
     """
     pres = g.pres
     # r.target is a group element already; only cyclic targets need reduction
@@ -222,23 +220,22 @@ def verify_resolution(r, g):
             d = degree(elem, g)
             if d != want:
                 failures.append({"pair": idx, "slot": slot, "degree": d, "expected": want})
-    if _resolves_cleared(r.pairs, pres):
-        defect = None
-    else:
-        total = AlgebraElement.zero(pres)
-        for a, b in r.pairs:
-            total = total + a * b
-        defect = total - AlgebraElement.one(pres)
-        if defect.is_zero():
-            defect = None
+    prods = [_times(_clear(a), _clear(b)) for a, b in r.pairs]
+    lcm = _lcm(dict.fromkeys(l for l, _ in prods))
+    total = -AlgebraElement.one(pres).scale(QScalar(lcm))
+    for l, p in prods:
+        total = total + (p if l == lcm else p.scale(QScalar(_pexquo(lcm, l))))
+    defect = _over(lcm, total) or None
     valid = not failures and defect is None
     return {"valid": valid, "failures": failures, "defect": defect}
 
 
 def compose_resolutions(r1, r2, g):
     """Certificate for the sum of targets: pairs (a_i c_j, d_j b_i)."""
+    left = [(_clear(a), _clear(b)) for a, b in r1.pairs]
+    right = [(_clear(c), _clear(d)) for c, d in r2.pairs]
     pairs = tuple(
-        (_product(a, c), _product(d, b)) for a, b in r1.pairs for c, d in r2.pairs
+        (_over(*_times(a, c)), _over(*_times(d, b))) for a, b in left for c, d in right
     )
     target = r1.target + r2.target
     if g.modulus:
@@ -292,34 +289,14 @@ def _clear(x):
     return lcm, AlgebraElement(x.pres, terms)
 
 
-def _product(x, y):
-    """x*y as (Lx*x)(Ly*y) with one division by Lx*Ly per output term."""
-    lx, cx = _clear(x)
-    ly, cy = _clear(y)
-    out = cx * cy
-    den = _pmul(lx, ly)
-    return out if den == (1,) else out.scale(QScalar(1, den))
+def _times(x, y):
+    """Product of two cleared forms: (Lx, X) * (Ly, Y) = (Lx*Ly, X*Y)."""
+    return _pmul(x[0], y[0]), x[1] * y[1]
 
 
-def _resolves_cleared(pairs, pres):
-    """Whether sum a_i b_i = 1, decided on cleared forms; None if none has a denominator.
-
-    With (La, A_i) = _clear(a_i), (Lb, B_i) = _clear(b_i) and L the lcm of
-    the La*Lb, checks sum (L/(La*Lb)) A_i B_i = L, which is L times the
-    plain identity.  Every scalar on the way has a q-power denominator.
-    """
-    cleared = [(_clear(a), _clear(b)) for a, b in pairs]
-    dens = [_pmul(la, lb) for (la, _), (lb, _) in cleared]
-    if all(d == (1,) for d in dens):
-        return None
-    lcm = _lcm(dict.fromkeys(dens))
-    total = AlgebraElement.zero(pres)
-    for ((_, ca), (_, cb)), d in zip(cleared, dens):
-        term = ca * cb
-        if d != lcm:
-            term = term.scale(QScalar(_pexquo(lcm, d)))
-        total = total + term
-    return total == AlgebraElement.one(pres).scale(QScalar(lcm))
+def _over(lcm, x):
+    """x/L, one division per term: the element a cleared form (L, x) stands for."""
+    return x if lcm == (1,) else x.scale(QScalar(1, lcm))
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +618,9 @@ def compose_tower_resolutions(tower, lens_res, cyclic_res, g):
                 if k == 0:
                     pairs.append((at, bt))
                     continue
-                shift = _power(lens_res, k, g_lens)
-                pairs.extend((_product(at, u), _product(v, bt)) for u, v in shift.pairs)
+                shift = [(_clear(u), _clear(v)) for u, v in _power(lens_res, k, g_lens).pairs]
+                ca, cb = _clear(at), _clear(bt)
+                pairs.extend((_over(*_times(ca, u)), _over(*_times(v, cb))) for u, v in shift)
         out[d] = ResolutionOfIdentity(d, tuple(pairs))
     return {"res_plus": out[1], "res_minus": out[-1]}
 

@@ -16,6 +16,8 @@ literals (1/2) and printed Q(q) scalars ("(1 - q^2)/(q^2)").
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from qwp.scalar import QScalar
@@ -33,11 +35,39 @@ from qwp.star_algebra import (
 # far beyond the budget would only build a huge coefficient tuple.
 MAX_SCALAR_EXPONENT = 10**5
 
+# Budget of a scalar power b^k in estimated coefficient bits, numerator
+# and denominator together (_power_bits).  The exponent budget alone lets
+# (1+q)^4000 through, which takes 42 s.  At this budget (1+q)^1023 takes
+# 0.4 s and (3+5q)^590 0.8 s; bases with fractional coefficients are the
+# slowest seen, up to 7.4 s for ((1+q)/3)^636 (2 cores, Python 3.11).
+# The recorded inputs raise no base with more than one term to a power.
+MAX_SCALAR_POWER_BITS = 2**20
+
 # Budget of an element power b^k: k times the longest word of b (taken as
 # 1 when b has no generator) may not exceed it.  Multiplying out z0^k
 # takes time quadratic in k (0.3 s at k = 1000, 4.5 s at k = 4000);
 # recorded normal forms print no generator power above 10.
 MAX_POWER_WORD_LENGTH = 1000
+
+
+def _power_bits(base, k):
+    """Estimated coefficient bits of the scalar base^k, without computing it.
+
+    Writing a polynomial p of t terms as P/d with P integral, p^|k| has at
+    most min(|k| deg p + 1, C(|k| + t - 1, t - 1)) terms, each of at most
+    |k| log2(d ||P||_1) bits.  Numerator and denominator are summed.
+    """
+    k = abs(k)
+    bits = 0.0
+    for poly in (base.num, base.den):
+        if not poly:
+            continue
+        d = math.lcm(*(Fraction(c).denominator for c in poly))
+        norm = d * sum(abs(Fraction(c)) for c in poly)
+        t = sum(1 for c in poly if c)
+        terms = min(k * (len(poly) - 1) + 1, math.comb(k + t - 1, t - 1))
+        bits += terms * k * math.log2(norm * d)
+    return bits
 
 
 class ParseError(ValueError):
@@ -215,6 +245,12 @@ class _Parser:
                 if abs(k) * degree > MAX_SCALAR_EXPONENT:
                     raise ParseError(
                         f"scalar power exceeds the exponent budget {MAX_SCALAR_EXPONENT}",
+                        exp_tok.pos,
+                    )
+                if _power_bits(base, k) > MAX_SCALAR_POWER_BITS:
+                    raise ParseError(
+                        f"scalar power exceeds the coefficient budget of "
+                        f"{MAX_SCALAR_POWER_BITS} bits",
                         exp_tok.pos,
                     )
                 if k < 0 and base.is_zero():

@@ -151,6 +151,11 @@ class RepSpec:
                 zn = self.sign * zn
             object.__setattr__(self, "_zn", zn)
 
+    @property
+    def pres_kind(self):
+        """Kind of the presentation the family acts on: "sigma" or "sphere"."""
+        return "sigma" if self.family == "sigma_pi" else "sphere"
+
     def lam_power(self, e):
         """lam**e, with exact integer phase arithmetic for pair-form lam."""
         if isinstance(self.lam, tuple):
@@ -355,8 +360,7 @@ def _check_space(spec, space):
 
 
 def _check_presentation(pres, spec, space):
-    want = "sigma" if spec.family == "sigma_pi" else "sphere"
-    if pres.kind != want:
+    if pres.kind != spec.pres_kind:
         raise ValueError(f"presentation kind {pres.kind!r} does not match family {spec.family!r}")
     if pres.n != space.n:
         raise ValueError(f"presentation has n = {pres.n} but the space has n = {space.n}")
@@ -430,13 +434,7 @@ def rep_generator(spec, g, space):
     _check_space(spec, space)
     _check_generator(spec, g, space.n)
     entries = {}
-    for col, p in enumerate(space.basis):
-        hit = _act(spec, (g,), p, space.cutoff, 1.0)
-        if hit is None:
-            continue
-        row = space.index(hit[1])
-        if row is not None:
-            entries[row, col] = hit[0]
+    _accumulate_word(spec, space, (g,), 1.0, entries)
     return TruncatedOperator(space, entries, _gen_shift(spec, g, space.n))
 
 
@@ -523,8 +521,7 @@ def sector_split_check(spec, m, space):
     if space.sector is not None:
         raise ValueError("sector check needs the full cube, not a sector subspace")
     n = space.n
-    kind = "sigma" if spec.family == "sigma_pi" else "sphere"
-    pres = AlgebraPresentation(kind, n)
+    pres = AlgebraPresentation(spec.pres_kind, n)
     items = [(f"z{n}", normalize(z(n), pres))]
     for i in range(n):
         for j in range(i, n):
@@ -765,8 +762,7 @@ def quotient_consistency(spec, space, m=1):
     if m < 1:
         raise ValueError("m must be >= 1")
     n = space.n
-    kind = "sigma" if spec.family == "sigma_pi" else "sphere"
-    pres = AlgebraPresentation(kind, n)
+    pres = AlgebraPresentation(spec.pres_kind, n)
     sums = tuple(sum(k) for k in space.basis)
     checks = []
     for i in range(n):

@@ -107,12 +107,6 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _pscale(a, c):
-    if not c:
-        return ()
-    return tuple(x * c for x in a)
-
-
 def _primitive(a):
     """Split a nonzero polynomial as content * primitive part.
 

@@ -29,6 +29,8 @@ from qwp.grading import ResolutionOfIdentity, verify_resolution
 from qwp.parsing import (
     MAX_POWER_WORD_LENGTH,
     MAX_SCALAR_EXPONENT,
+    MAX_SCALAR_POWER_BITS,
+    _power_bits,
     ParseError,
     parse_expression,
     parse_scalar,
@@ -339,6 +341,29 @@ def test_scalar_exponent_budget_exits_one(monkeypatch):
         jsonschema.validate(report, report_schema("error"))
     code, report, _ = run(["normalize", "q^-200 z0", "--n", "1"])
     assert code == 0 and report["printed"] == "(1/(q^200)) z0"
+
+
+def test_scalar_coefficient_budget_exits_one(monkeypatch):
+    power = QScalar.__pow__
+
+    def bounded_power(self, k):
+        # the budget must be checked before a power with huge coefficients is built
+        assert _power_bits(self, k) <= MAX_SCALAR_POWER_BITS, f"built ({self})^{k}"
+        return power(self, k)
+
+    monkeypatch.setattr(QScalar, "__pow__", bounded_power)
+    for text in ("(1+q)^4000 z0", "(1+q)^-4000 z0", "((1+q)^700)^2 z0", "((1+q)/3)^1000 z0",
+                 "(q/(1 + 2q))^2000 z0"):
+        code, report, _ = run(["normalize", text, "--n", "1"])
+        assert code == 1 and report["status"] == "error", text
+        assert report["error"]["type"] == "ParseError", text
+        assert f"coefficient budget of {MAX_SCALAR_POWER_BITS} bits" in report["error"]["message"]
+        jsonschema.validate(report, report_schema("error"))
+    # one term stays one term, so monomial bases pass however large their power
+    code, report, _ = run(["normalize", "(2 q^3)^2000 z0", "--n", "1"])
+    assert code == 0 and report["term_count"] == 1
+    code, report, _ = run(["normalize", "(1 - q^2)^3 z0", "--n", "1"])
+    assert code == 0 and report["printed"] == "(1 - 3*q^2 + 3*q^4 - q^6) z0"
 
 
 def test_element_power_budget_exits_one(monkeypatch):

@@ -37,7 +37,6 @@ from qwp.grading import (
     weighted_resolution,
     _clear,
     _linear_cofactors,
-    _resolves_cleared,
 )
 
 q = QScalar.q()
@@ -200,7 +199,6 @@ def test_grading_spec_validation():
 
 
 def test_tower_spec_validation():
-    assert TowerSpec(modulus=3).scale == 3
     with pytest.raises(ValueError):
         TowerSpec(modulus=0)
 
@@ -487,6 +485,17 @@ def _direct_defect(r, pres):
     return total - AlgebraElement.one(pres)
 
 
+def _assert_defect_is_direct(verdict, direct):
+    """verify_resolution's defect is the plain sum a_i b_i - 1, or None when that is 0."""
+    assert verdict["valid"] == direct.is_zero()
+    if direct.is_zero():
+        assert verdict["defect"] is None
+        return
+    assert verdict["defect"] == direct
+    assert verdict["defect"].to_json() == direct.to_json()
+    assert str(verdict["defect"]) == str(direct)
+
+
 def _replace_pair(r, idx, a, b):
     pairs = list(r.pairs)
     pairs[idx] = (a, b)
@@ -517,20 +526,20 @@ def test_clear_multiplies_out_non_q_power_denominators():
 @pytest.mark.parametrize("name", ["bezout", "tower", "weighted"])
 def test_perturbed_coefficient_rejected_by_both_checks(name):
     r, g = _valid_certificates()[name]
-    assert verify_resolution(r, g)["valid"]
-    assert _resolves_cleared(r.pairs, g.pres) is (None if name == "weighted" else True)
+    assert _has_denominator(r) is (name != "weighted")
+    verdict = verify_resolution(r, g)
+    assert verdict["valid"] and verdict["failures"] == []
+    _assert_defect_is_direct(verdict, _direct_defect(r, g.pres))
     a, b = r.pairs[-1]
     mon, coeff = a.sorted_terms()[0]
-    # a denominator that is not a power of q, so the cleared check runs
+    # a denominator that is not a power of q, so the sum is taken over L != 1
     bad = _replace_pair(r, len(r.pairs) - 1, a + AlgebraElement(S1, {mon: coeff / (1 + q)}), b)
+    assert _has_denominator(bad)
     direct = _direct_defect(bad, g.pres)
     assert not direct.is_zero()
-    assert _resolves_cleared(bad.pairs, g.pres) is False
     verdict = verify_resolution(bad, g)
     assert not verdict["valid"] and verdict["failures"] == []
-    assert verdict["defect"] == direct
-    assert verdict["defect"].to_json() == direct.to_json()
-    assert str(verdict["defect"]) == str(direct)
+    _assert_defect_is_direct(verdict, direct)
 
 
 _PAIR_SCALARS = (
@@ -561,11 +570,9 @@ def test_cleared_and_direct_verdicts_agree(name, idx, s, t):
         changed = _replace_pair(r, idx, a.scale(s), b.scale(u))
         direct = _direct_defect(changed, g.pres)
         assert direct.is_zero() == (s * u == one)
-        cleared = _resolves_cleared(changed.pairs, g.pres)
-        assert cleared is (direct.is_zero() if _has_denominator(changed) else None)
         verdict = verify_resolution(changed, g)
-        assert verdict["valid"] == direct.is_zero()
-        assert verdict["defect"] == (None if direct.is_zero() else direct)
+        assert verdict["failures"] == []
+        _assert_defect_is_direct(verdict, direct)
 
 
 # -- check_strong_grading ----------------------------------------------------
