@@ -28,14 +28,11 @@ from itertools import product
 from qwp.grading import (
     GradingSpec,
     INHOMOGENEOUS,
-    TowerSpec,
-    bezout_lens_resolution,
+    _base_resolutions,
     check_strong_grading,
-    compose_tower_resolutions,
     degree,
     homogeneous_components,
     verify_resolution,
-    weighted_resolution,
 )
 from qwp.ktheory import (
     LensDescriptor,
@@ -173,6 +170,10 @@ def _parse_int_list(text, what):
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"bad {what} {text!r}; expected comma-separated integers") from None
+
+
+def _parse_weights(text):
+    return _parse_int_list(text, "weights")
 
 
 def parse_config_file(path):
@@ -382,10 +383,6 @@ def _cmd_grading_certify(args, config, q0):
 
 
 def _cmd_ktheory_lens(args, config, q0):
-    if args.weights is None:
-        raise UsageError("ktheory lens needs --weights")
-    if args.N is None:
-        raise UsageError("ktheory lens needs --N")
     out = lens_k_groups(LensDescriptor(args.N, args.weights))
     report = {
         "command": "ktheory lens",
@@ -637,44 +634,28 @@ def check_k0_alternatives(config):
 
 
 def check_grading_certificates(config):
-    """All three certificate constructors verify exactly on the small sweep."""
-    cases = 0
-    failures = []
+    """The cyclic, weighted and tower certificates verify exactly on the small sweep."""
+    gradings = []
     for n in (1, 2, 3):
         pres = AlgebraPresentation.sphere(n)
-        w = (1,) * (n + 1)
         for N in range(1, 6):
-            g = GradingSpec(pres, w, modulus=N)
-            for target in (1, -1):
-                cases += 1
-                res = bezout_lens_resolution(N, n, w, target=target)
-                if not verify_resolution(res, g)["valid"]:
-                    failures.append({"constructor": "cyclic", "N": N, "n": n, "target": target})
+            g = GradingSpec(pres, (1,) * (n + 1), modulus=N)
+            gradings.append(({"constructor": "cyclic", "N": N, "n": n}, g))
     for w in ((1, 2), (2, 3), (1, 2, 3), (1, 1, 2)):
-        pres = AlgebraPresentation.sphere(len(w) - 1)
-        g = GradingSpec(pres, w, scale=math.prod(w))
-        res = weighted_resolution(w, pres=pres)
-        for cert in (res["res_plus"], res["res_minus"]):
+        g = GradingSpec(AlgebraPresentation.sphere(len(w) - 1), w, scale=math.prod(w))
+        gradings.append(({"constructor": "weighted", "weights": list(w)}, g))
+    for kind in ("sphere", "sigma"):
+        for m in range(1, 5):
+            g = GradingSpec(AlgebraPresentation(kind, 1), (1, m))
+            gradings.append(({"constructor": "tower", "kind": kind, "m": m}, g))
+    cases = 0
+    failures = []
+    for label, g in gradings:
+        base = _base_resolutions(g.pres, g)
+        for target, cert in ((1, base["res_plus"]), (-1, base["res_minus"])):
             cases += 1
             if not verify_resolution(cert, g)["valid"]:
-                failures.append({"constructor": "weighted", "weights": list(w), "target": cert.target})
-    for kind in ("sphere", "sigma"):
-        pres = AlgebraPresentation(kind, 1)
-        for m in range(1, 5):
-            w = (1, m)
-            g = GradingSpec(pres, w)
-            lens = weighted_resolution(w, pres=pres)
-            cyclic = {
-                "res_plus": bezout_lens_resolution(m, 1, w, target=1, pres=pres),
-                "res_minus": bezout_lens_resolution(m, 1, w, target=-1, pres=pres),
-            }
-            out = compose_tower_resolutions(TowerSpec(m), lens, cyclic, g)
-            for cert in (out["res_plus"], out["res_minus"]):
-                cases += 1
-                if not verify_resolution(cert, g)["valid"]:
-                    failures.append(
-                        {"constructor": "tower", "kind": kind, "m": m, "target": cert.target}
-                    )
+                failures.append({**label, "target": target})
     return _verdict("grading-certificates", cases, failures)
 
 
@@ -893,7 +874,7 @@ def _cmd_suite(args, config, q0):
 def _add_space_options(parser, kinds=SPACE_KINDS):
     parser.add_argument("--space", choices=kinds, default="sphere")
     parser.add_argument("--n", type=int)
-    parser.add_argument("--weights", type=lambda s: _parse_int_list(s, "weights"))
+    parser.add_argument("--weights", type=_parse_weights)
     parser.add_argument("--N", type=int)
 
 
@@ -953,7 +934,8 @@ def build_parser():
     ktheory = sub.add_parser("ktheory", help="K-groups via integer matrix normal forms")
     ksub = ktheory.add_subparsers(dest="subcommand", required=True)
     p = ksub.add_parser("lens", help="lens space K-groups from the endomorphism matrix")
-    _add_space_options(p)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--weights", type=_parse_weights, required=True)
     _add_config_options(p)
     p.set_defaults(handler=_cmd_ktheory_lens)
     p = ksub.add_parser("teardrop", help="K-groups of the one-weight projective quotient")

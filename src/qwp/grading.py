@@ -48,6 +48,7 @@ from qwp.scalar import (
 from qwp.star_algebra import (
     AlgebraElement,
     AlgebraPresentation,
+    make_named_element,
     normalize,
     z,
     z_star,
@@ -344,15 +345,6 @@ def _zpow(pres, i, k, star=False):
     return normalize((gen,) * k, pres)
 
 
-def _belem(pres, i):
-    return normalize((z(i), z_star(i)), pres)
-
-
-def _a_elem(pres):
-    terms = [(_ONE, (z(i), z_star(i))) for i in range(1, pres.n + 1)]
-    return normalize(terms, pres) if terms else AlgebraElement.zero(pres)
-
-
 def _poly_at(poly, x, pres):
     """Evaluate a Q(q)[t] polynomial at an algebra element as sum c_k x^k.
 
@@ -398,7 +390,7 @@ def bezout_lens_resolution(N, n, weights=None, target=1, pres=None):
     one = AlgebraElement.one(pres)
     if N == 1:
         return ResolutionOfIdentity(0, ((one, one),))
-    a = _a_elem(pres)
+    a = make_named_element("a", {}, pres)
     if target == 1:
         # alpha*P + beta*Q = 1 with P = prod_{s=0}^{N-2}(1 - q^{2s}x),
         # Q = 1 - q^{-2}x; P(a) = z_0^{N-1} z_0*^{N-1}, Q(a) = z_0* z_0.
@@ -496,10 +488,10 @@ def _triangular_coeffs(pres, exps, plus):
         if any(rem[:level]):
             raise ArithmeticError("level elimination failed to clear low terms")
         w1 = rem[level:]
-        belem = _belem(pres, j)
+        belem = make_named_element("b", {"i": j}, pres)
         celem = AlgebraElement.zero(pres)
         for k in range(j + 1, n + 1):
-            celem = celem + _belem(pres, k)
+            celem = celem + make_named_element("b", {"i": k}, pres)
         ncoeffs = {j: _homogenize_at(u1, total - lj, belem, celem, pres)}
         wfac = _homogenize_at(w1, total - level, belem, celem, pres)
         for i, c in coeffs.items():

@@ -94,28 +94,11 @@ class IntMatrix:
         )
 
     def det(self):
-        """Determinant by fraction-free (Bareiss) elimination; exact."""
+        """Determinant, exact: the signed minor of _rank_and_minor at full rank."""
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, minor = _rank_and_minor(self.entries)
+        return minor if rank == self.rows else 0
 
     def to_json(self):
         """Row-major nested lists, suitable for JSON serialization."""
@@ -412,28 +395,34 @@ def _invariant_factors(M):
 
 
 def _rank_and_minor(a):
-    """Rank r of the rows a and |det| of a nonsingular r x r submatrix.
+    """Rank r of the rows a and the signed det of a nonsingular r x r submatrix.
 
     Fraction-free (Bareiss) elimination with full pivoting: after step k
     the pivot is the determinant of the leading (k+1)-square submatrix of
-    the permuted matrix, and every division is exact.
+    the permuted matrix, and every division is exact.  The sign undoes the
+    row and column swaps, so at full rank of a square matrix the minor is
+    its determinant.
     """
     a = [list(row) for row in a]
     m, n = len(a), len(a[0]) if a else 0
-    prev = 1
+    prev = sign = 1
     for k in range(min(m, n)):
         pivot = next(((i, j) for i in range(k, m) for j in range(k, n) if a[i][j]), None)
         if pivot is None:
-            return k, abs(prev)
+            return k, sign * prev
         i, j = pivot
-        a[k], a[i] = a[i], a[k]
-        for row in a:
-            row[k], row[j] = row[j], row[k]
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        if j != k:
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            sign = -sign
         for i in range(k + 1, m):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return min(m, n), abs(prev)
+    return min(m, n), sign * prev
 
 
 def _xgcd(a, b):
@@ -465,6 +454,7 @@ def _factors_modulo_minor(a):
     each step either clears x or lowers the pivot p to g.
     """
     rank, d = _rank_and_minor(a)
+    d = abs(d)
     a = [[x % d for x in row] for row in a]
     m, n = len(a), len(a[0]) if a else 0
     factors = []

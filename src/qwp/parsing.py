@@ -17,7 +17,6 @@ literals (1/2) and printed Q(q) scalars ("(1 - q^2)/(q^2)").
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from qwp.scalar import QScalar
@@ -38,9 +37,11 @@ MAX_SCALAR_EXPONENT = 10**5
 # Budget of a scalar power b^k in estimated coefficient bits, numerator
 # and denominator together (_power_bits).  The exponent budget alone lets
 # (1+q)^4000 through, which takes 42 s.  At this budget (1+q)^1023 takes
-# 0.4 s and (3+5q)^590 0.8 s; bases with fractional coefficients are the
-# slowest seen, up to 7.4 s for ((1+q)/3)^636 (2 cores, Python 3.11).
+# 0.2 s and (3+5q)^590 0.1 s; bases with fractional coefficients are the
+# slowest seen, up to 2.1 s for ((1+q)/3)^636 (2 cores, Python 3.11).
 # The recorded inputs raise no base with more than one term to a power.
+# A product x*y or x/y is held to the same budget (_product_bits), so a
+# chain of powers costs no more than the single power it multiplies out to.
 MAX_SCALAR_POWER_BITS = 2**20
 
 # Budget of an element power b^k: k times the longest word of b (taken as
@@ -48,6 +49,19 @@ MAX_SCALAR_POWER_BITS = 2**20
 # takes time quadratic in k (0.3 s at k = 1000, 4.5 s at k = 4000);
 # recorded normal forms print no generator power above 10.
 MAX_POWER_WORD_LENGTH = 1000
+
+
+def _poly_size(poly):
+    """(nonzero terms, degree, log2(d ||P||_1)) of p = P/d with P integral.
+
+    The last entry bounds the bits of one coefficient of p, numerator and
+    denominator together.  The zero polynomial has no terms.
+    """
+    if not poly:
+        return 0, 0, 0.0
+    d = math.lcm(*(c.denominator for c in poly))
+    norm = sum(abs(c.numerator) * (d // c.denominator) for c in poly)
+    return sum(1 for c in poly if c), len(poly) - 1, math.log2(norm * d)
 
 
 def _power_bits(base, k):
@@ -60,14 +74,52 @@ def _power_bits(base, k):
     k = abs(k)
     bits = 0.0
     for poly in (base.num, base.den):
-        if not poly:
-            continue
-        d = math.lcm(*(Fraction(c).denominator for c in poly))
-        norm = d * sum(abs(Fraction(c)) for c in poly)
-        t = sum(1 for c in poly if c)
-        terms = min(k * (len(poly) - 1) + 1, math.comb(k + t - 1, t - 1))
-        bits += terms * k * math.log2(norm * d)
+        if poly:
+            t, deg, b = _poly_size(poly)
+            bits += min(k * deg + 1, math.comb(k + t - 1, t - 1)) * k * b
     return bits
+
+
+def _product_bits(x, y, divide):
+    """Estimated coefficient bits of x*y, or of x/y, counted as _power_bits counts them.
+
+    A product of polynomials has at most min(deg + deg' + 1, t t') terms of
+    at most b + b' bits each.  An element stands in by its largest
+    coefficient; a divisor's numerator and denominator trade places.
+    """
+    (xn, xd), (yn, yd) = _sizes(x), _sizes(y)
+    if divide:
+        yn, yd = yd, yn
+    bits = 0.0
+    for (t, deg, b), (t2, deg2, b2) in ((xn, yn), (xd, yd)):
+        bits += min(deg + deg2 + 1, t * t2) * (b + b2)
+    return bits
+
+
+def _sizes(v):
+    """_poly_size of the numerator and denominator of a scalar, or of an
+    element's largest coefficient."""
+    if isinstance(v, QScalar):
+        return _poly_size(v.num), _poly_size(v.den)
+    return max(
+        map(_sizes, v.terms.values()),
+        key=lambda s: s[0][0] * s[0][2] + s[1][0] * s[1][2],
+        default=((0, 0, 0.0), (0, 0, 0.0)),
+    )
+
+
+def _small(v):
+    """Whether each coefficient of v has at most 8 entries, with numerators
+    and denominators below 2^32, so that a product of two such values stays
+    far below the coefficient budget."""
+    for s in (v,) if isinstance(v, QScalar) else v.terms.values():
+        cs = s.num + s.den
+        if len(cs) > 8:
+            return False
+        for c in cs:
+            if not (-(2**32) < c.numerator < 2**32 and c.denominator < 2**32):
+                return False
+    return True
 
 
 class ParseError(ValueError):
@@ -89,6 +141,17 @@ class _Token(NamedTuple):
     end: int
 
 
+def _int_of(digits):
+    """int(digits), in halves past Python's str-to-int digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        if not digits.isascii():  # a non-ASCII digit such as "²", not the limit
+            raise
+        k = len(digits) // 2
+        return _int_of(digits[:-k]) * 10**k + _int_of(digits[-k:])
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -102,7 +165,7 @@ def _tokenize(text):
             j = i
             while j < size and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), i, j))
+            tokens.append(_Token("int", _int_of(text[i:j]), i, j))
             i = j
             continue
         if ch == "z":
@@ -189,6 +252,12 @@ class _Parser:
             return x / y
         return x.scale(1 / y)
 
+    def _check_product(self, x, y, divide, pos):
+        if not (_small(x) and _small(y)) and _product_bits(x, y, divide) > MAX_SCALAR_POWER_BITS:
+            raise ParseError(
+                f"product exceeds the coefficient budget of {MAX_SCALAR_POWER_BITS} bits", pos
+            )
+
     # -- grammar -------------------------------------------------------------
 
     def parse(self):
@@ -213,12 +282,15 @@ class _Parser:
             if tok.kind == "op" and tok.value in "*/":
                 self.advance()
                 rhs = self.unary()
+                self._check_product(value, rhs, tok.value == "/", tok.pos)
                 if tok.value == "*":
                     value = value * rhs
                 else:
                     value = self._div(value, rhs, tok.pos)
             elif tok.kind in _ATOM_STARTS:
-                value = value * self.unary()
+                rhs = self.unary()
+                self._check_product(value, rhs, False, tok.pos)
+                value = value * rhs
             else:
                 return value
 

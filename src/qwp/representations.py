@@ -29,7 +29,6 @@ from qwp.star_algebra import (
     W,
     AlgebraElement,
     AlgebraPresentation,
-    InvalidGeneratorError,
     defining_relations,
     make_named_element,
     normalize,
@@ -342,18 +341,6 @@ def _word_shift(spec, word, n):
     return sum(_gen_shift(spec, g, n) for g in word)
 
 
-def _check_generator(spec, g, n):
-    kind = getattr(g, "kind", None)
-    if kind in ("w", "w*"):
-        if spec.family != "sigma_pi":
-            raise InvalidGeneratorError("w generators act only in the sigma family")
-    elif kind in ("z", "z*"):
-        if not 0 <= g.index <= n:
-            raise InvalidGeneratorError(f"generator index {g.index} outside 0..{n}")
-    else:
-        raise InvalidGeneratorError(f"not a generator: {g!r}")
-
-
 def _check_space(spec, space):
     if spec.family == "bar_pi" and spec.k > space.n:
         raise ValueError(f"bar_pi label k = {spec.k} exceeds n = {space.n}")
@@ -432,7 +419,7 @@ def rep_generator(spec, g, space):
     budget marks how far its images can travel.
     """
     _check_space(spec, space)
-    _check_generator(spec, g, space.n)
+    AlgebraPresentation(spec.pres_kind, space.n).check_generator(g)
     entries = {}
     _accumulate_word(spec, space, (g,), 1.0, entries)
     return TruncatedOperator(space, entries, _gen_shift(spec, g, space.n))
@@ -506,6 +493,25 @@ def _label(prefix, vec):
     return f"{prefix}[{','.join(map(str, vec))}]"
 
 
+def _subalgebra_generators(pres, m):
+    """The subalgebra generators as (name, label, element), in this order:
+    the b pairs, the degree-m c and c_tilde monomials and, in sigma, the
+    length-2m d monomials."""
+    n = pres.n
+    out = [
+        ("b", _label("b", (i, j)), make_named_element("b", {"i": i, "j": j}, pres))
+        for i in range(n)
+        for j in range(i, n)
+    ]
+    for name in ("c", "c_tilde"):
+        for l in _compositions(m, n):
+            out.append((name, _label(name, l), make_named_element(name, {"l": l, "m": m}, pres)))
+    if pres.kind == "sigma":
+        for p in _compositions(2 * m, n):
+            out.append(("d", _label("d", p), make_named_element("d", {"p": p, "m": m}, pres)))
+    return out
+
+
 def sector_split_check(spec, m, space):
     """Do the subalgebra generators respect the sum(k) mod m sectors?
 
@@ -523,16 +529,9 @@ def sector_split_check(spec, m, space):
     n = space.n
     pres = AlgebraPresentation(spec.pres_kind, n)
     items = [(f"z{n}", normalize(z(n), pres))]
-    for i in range(n):
-        for j in range(i, n):
-            items.append((f"b[{i},{j}]", make_named_element("b", {"i": i, "j": j}, pres)))
-    for l in _compositions(m, n):
-        items.append((_label("c_tilde", l), make_named_element("c_tilde", {"l": l, "m": m}, pres)))
-        items.append((_label("c", l), make_named_element("c", {"l": l, "m": m}, pres)))
     if spec.family == "sigma_pi":
         items.append(("w", normalize(W, pres)))
-        for pvec in _compositions(2 * m, n):
-            items.append((_label("d", pvec), make_named_element("d", {"p": pvec, "m": m}, pres)))
+    items += [(label, el) for _, label, el in _subalgebra_generators(pres, m)]
     sums = tuple(sum(k) for k in space.basis)
     generators = {}
     all_ok = True
@@ -765,56 +764,19 @@ def quotient_consistency(spec, space, m=1):
     pres = AlgebraPresentation(spec.pres_kind, n)
     sums = tuple(sum(k) for k in space.basis)
     checks = []
-    for i in range(n):
-        for j in range(i, n):
-            el = make_named_element("b", {"i": i, "j": j}, pres)
-            dropped = _drop_top(el)
-            resid = (apply_element(dropped, spec, space) - apply_element(el, spec, space)).max_abs()
-            checks.append(
-                {
-                    "element": f"b[{i},{j}]",
-                    "kind": "unchanged",
-                    "passed": dropped == el and resid == 0.0,
-                    "max_residual": resid,
-                }
-            )
-    for l in _compositions(m, n):
-        el = make_named_element("c", {"l": l, "m": m}, pres)
+    for name, label, el in _subalgebra_generators(pres, m):
         dropped = _drop_top(el)
         op = apply_element(dropped, spec, space)
-        checks.append(
-            {
-                "element": _label("c", l),
-                "kind": "annihilated",
-                "passed": dropped.is_zero() and not op.entries,
-                "max_residual": op.max_abs(),
-            }
-        )
-    for l in _compositions(m, n):
-        el = make_named_element("c_tilde", {"l": l, "m": m}, pres)
-        dropped = _drop_top(el)
-        op = apply_element(dropped, spec, space)
-        bad = [abs(v) for (r, c), v in op.entries.items() if sums[c] - sums[r] != m]
-        checks.append(
-            {
-                "element": _label("c_tilde", l),
-                "kind": "step_by_m",
-                "passed": dropped == el and not bad,
-                "max_residual": max(bad, default=0.0),
-            }
-        )
-    if spec.family == "sigma_pi":
-        for pvec in _compositions(2 * m, n):
-            el = make_named_element("d", {"p": pvec, "m": m}, pres)
-            dropped = _drop_top(el)
-            op = apply_element(dropped, spec, space)
-            bad = [abs(v) for (r, c), v in op.entries.items() if sums[c] - sums[r] != 2 * m]
-            checks.append(
-                {
-                    "element": _label("d", pvec),
-                    "kind": "step_by_2m",
-                    "passed": dropped == el and not bad,
-                    "max_residual": max(bad, default=0.0),
-                }
-            )
+        if name == "b":
+            resid = (op - apply_element(el, spec, space)).max_abs()
+            kind, passed = "unchanged", dropped == el and resid == 0.0
+        elif name == "c":
+            resid = op.max_abs()
+            kind, passed = "annihilated", dropped.is_zero() and not op.entries
+        else:
+            step, kind = (m, "step_by_m") if name == "c_tilde" else (2 * m, "step_by_2m")
+            bad = [abs(v) for (r, c), v in op.entries.items() if sums[c] - sums[r] != step]
+            resid = max(bad, default=0.0)
+            passed = dropped == el and not bad
+        checks.append({"element": label, "kind": kind, "passed": passed, "max_residual": resid})
     return {"m": m, "all_passed": all(c["passed"] for c in checks), "checks": checks}

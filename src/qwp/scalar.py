@@ -416,12 +416,13 @@ class QScalar:
             base = QScalar(self.den, self.num)
             k = -k
         acc = QScalar.one()
-        while k:
+        while True:
             if k & 1:
                 acc = acc * base
-            base = base * base
             k >>= 1
-        return acc
+            if not k:
+                return acc
+            base = base * base
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -463,13 +464,32 @@ def _nterms(coeffs):
     return sum(1 for c in coeffs if c)
 
 
+def _digits(n):
+    """str(n) for an int, in halves past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the decimal digits of n
+        hi, lo = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + _digits(hi) + _digits(lo).zfill(k)
+
+
+def _coeff_str(c):
+    """str(c) for an int or Fraction coefficient, however many digits it has."""
+    try:
+        return str(c)
+    except ValueError:
+        num = _digits(c.numerator)
+        return num if c.denominator == 1 else f"{num}/{_digits(c.denominator)}"
+
+
 def _poly_str(coeffs):
     parts = []
     for k, c in enumerate(coeffs):
         if not c:
             continue
         if k == 0:
-            body = str(c)
+            body = _coeff_str(c)
         else:
             mon = "q" if k == 1 else f"q^{k}"
             if c == 1:
@@ -477,7 +497,7 @@ def _poly_str(coeffs):
             elif c == -1:
                 body = f"-{mon}"
             else:
-                body = f"{c}*{mon}"
+                body = f"{_coeff_str(c)}*{mon}"
         parts.append(body)
     out = parts[0]
     for p in parts[1:]:

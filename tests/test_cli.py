@@ -31,11 +31,12 @@ from qwp.parsing import (
     MAX_SCALAR_EXPONENT,
     MAX_SCALAR_POWER_BITS,
     _power_bits,
+    _product_bits,
     ParseError,
     parse_expression,
     parse_scalar,
 )
-from qwp.scalar import QScalar
+from qwp.scalar import QScalar, _coeff_str
 from qwp.star_algebra import (
     AlgebraElement,
     AlgebraPresentation,
@@ -310,6 +311,9 @@ def test_usage_errors_exit_two():
     assert run(["suite", "--select", "bogus"])[0] == 2
     assert run(["grading", "certify", "--weights", "1,2", "--method", "triangular"])[0] == 2
     assert run(["grading", "certify", "--weights", "1,2", "--degree-cap", "3"])[0] == 2
+    # ktheory lens takes --N and --weights only, and needs both
+    assert run(["ktheory", "lens", "--N", "3", "--weights", "1,1,2", "--space", "sigma"])[0] == 2
+    assert run(["ktheory", "lens", "--N", "3"])[0] == 2
 
 
 def test_computation_errors_exit_one():
@@ -344,16 +348,24 @@ def test_scalar_exponent_budget_exits_one(monkeypatch):
 
 
 def test_scalar_coefficient_budget_exits_one(monkeypatch):
-    power = QScalar.__pow__
+    power, mul = QScalar.__pow__, QScalar.__mul__
 
     def bounded_power(self, k):
         # the budget must be checked before a power with huge coefficients is built
         assert _power_bits(self, k) <= MAX_SCALAR_POWER_BITS, f"built ({self})^{k}"
         return power(self, k)
 
+    def bounded_mul(self, other):
+        # and before a product with huge coefficients is built
+        if isinstance(other, QScalar):
+            assert _product_bits(self, other, False) <= MAX_SCALAR_POWER_BITS, "built a product"
+        return mul(self, other)
+
     monkeypatch.setattr(QScalar, "__pow__", bounded_power)
+    monkeypatch.setattr(QScalar, "__mul__", bounded_mul)
     for text in ("(1+q)^4000 z0", "(1+q)^-4000 z0", "((1+q)^700)^2 z0", "((1+q)/3)^1000 z0",
-                 "(q/(1 + 2q))^2000 z0"):
+                 "(q/(1 + 2q))^2000 z0", "(1+q)^1000 (1+q)^1000 z0", "(1+q)^1000 * (1+q)^1000 z0",
+                 "(1+q)^1000 z0 (1+q)^1000", "(1+q)^1000 z0 / (1+q)^-1000"):
         code, report, _ = run(["normalize", text, "--n", "1"])
         assert code == 1 and report["status"] == "error", text
         assert report["error"]["type"] == "ParseError", text
@@ -364,6 +376,29 @@ def test_scalar_coefficient_budget_exits_one(monkeypatch):
     assert code == 0 and report["term_count"] == 1
     code, report, _ = run(["normalize", "(1 - q^2)^3 z0", "--n", "1"])
     assert code == 0 and report["printed"] == "(1 - 3*q^2 + 3*q^4 - q^6) z0"
+    # a base whose coefficient norm is past the float range is estimated in ints
+    code, report, _ = run(["normalize", "(2^1100 + q)^2 z0", "--n", "1"])
+    assert code == 0 and report["term_count"] == 1
+    # a product counts as the power it equals: what (1+q)^1000 passes passes here
+    code, report, _ = run(["normalize", "(1+q)^500 (1+q)^500 z0", "--n", "1"])
+    assert code == 0
+    assert report["element"] == run(["normalize", "(1+q)^1000 z0", "--n", "1"])[1]["element"]
+
+
+def test_coefficients_past_the_digit_limit_print_and_parse():
+    # 2^20000 has 6021 digits, more than int <-> str converts by default
+    code, report, _ = run(["normalize", "(2 q^3)^20000 z0", "--n", "1"])
+    assert code == 0
+    x = AlgebraElement.from_json(report["element"])
+    assert x == parse_expression("(2 q^3)^20000 z0", S1)
+    digits, _, power = report["element"]["terms"][0]["coeff"].partition("*")
+    assert power == "q^60000" and len(digits) == 6021
+    assert digits[:20] == str(2**20000 // 10**6001) and digits[-20:] == str(2**20000 % 10**20)
+    c = QScalar(Fraction(3**10000, 2**20000 + 1))
+    assert parse_scalar(str(c)) == c
+    # an integral Fraction coefficient prints as its numerator, as str() does
+    assert _coeff_str(Fraction(-(3**10000))) == _coeff_str(-(3**10000))
+    assert len(_coeff_str(3**10000)) == 4772
 
 
 def test_element_power_budget_exits_one(monkeypatch):

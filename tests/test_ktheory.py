@@ -109,6 +109,11 @@ def test_matrix_det():
     assert IntMatrix.identity(0).det() == 1
     with pytest.raises(ValueError):
         IntMatrix.zero(2, 3).det()
+    # the pivot search swaps rows and columns; each swap flips the sign
+    assert IntMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
+    assert IntMatrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
+    assert IntMatrix.from_rows([[0, 2], [3, 0]]).det() == -6
+    assert IntMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]]).det() == 0
 
 
 @given(matrices(4))
