@@ -36,6 +36,7 @@ Fraction(4, 3)
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -465,13 +466,33 @@ def _nterms(coeffs):
 
 
 def _digits(n):
-    """str(n) for an int, in halves past Python's int-to-str digit limit."""
+    """str(n) for an int, also past Python's int-to-str digit limit.
+
+    Past the limit the conversion runs through decimal, whose large
+    multiplications are subquadratic (CPython 3.12's _pylong does the
+    same): n = hi * 2^h + lo with h half the bit length, hi and lo
+    converted recursively, and Decimal(2)^h computed once per h.
+    """
     try:
         return str(n)
     except ValueError:
-        k = n.bit_length() * 3 // 20  # about half the decimal digits of n
-        hi, lo = divmod(abs(n), 10**k)
-        return ("-" if n < 0 else "") + _digits(hi) + _digits(lo).zfill(k)
+        pass
+    two = Decimal(2)
+    powers = {}
+
+    def convert(m, bits):
+        if bits <= 1024:
+            return Decimal(m)
+        h = bits >> 1
+        hi = m >> h
+        if h not in powers:
+            powers[h] = two**h
+        return convert(hi, bits - h) * powers[h] + convert(m - (hi << h), h)
+
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+    with localcontext(exact):
+        out = str(convert(abs(n), n.bit_length()))
+    return "-" + out if n < 0 else out
 
 
 def _coeff_str(c):

@@ -29,7 +29,16 @@ right-hand side that holds in the algebra changes no normal form
 Each rule is stated once, in the redex table _rules keyed by the reducible
 pairs of adjacent letters.  Its single-branch rules are the swaps
 g1 g2 -> q^-1 g2 g1 and z_n* z_n -> z_n z_n*, which the engine follows
-inline; only z_i* z_i (i < n), z_n z_n* and Σ's z_n z_n branch.
+inline; only z_i* z_i (i < n), z_n z_n* and Σ's z_n z_n branch.  Every
+left-hand side has length 2, so the system is confluent exactly when each
+overlap g1 g2 g3 resolves; unresolved_overlaps checks them all.
+
+The engine runs on a compiled form of the table (_compiled): letters are
+int codes, z_i -> i and z_i* -> n+1+i, and the rules sit in a flat list
+indexed by code(g1) * 2(n+1) + code(g2).  Every rule factor lies in Z[t],
+t = q^-1, so below the input terms each coefficient is an int tuple in t;
+it becomes a Q(q) scalar only when a normal form is multiplied into the
+coefficient of an input term.
 
 Elements are finite Q(q)-linear combinations of normal-form monomials;
 all arithmetic routes through the rewriting engine, which supports both a
@@ -42,14 +51,13 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, NamedTuple
 
-from qwp.scalar import QScalar
+from qwp.scalar import QScalar, _from_qpow, _padd, _pmul
 
 Q = QScalar.q()
-Q_INV = QScalar.q(-1)
-Q_INV2 = QScalar.q(-2)
-QINV2_M1 = Q_INV2 - 1  # the (q^-2 - 1) coefficient of the zz* relation
+QINV2_M1 = QScalar.q(-2) - 1  # the (q^-2 - 1) coefficient of the zz* relation
 ONE = QScalar.one()
 
 
@@ -153,6 +161,9 @@ class AlgebraPresentation:
 #
 # Working terms are (coeff, zword, s): zword is a tuple of z/z* generators
 # (never w, never z_n* in sigma), s the collected central w exponent.
+# Inside _rewrite a word is a tuple of letter codes, z_i -> i and
+# z_i* -> n+1+i, and a coefficient is an int tuple c, lowest degree first,
+# standing for sum_j c[j] t^j with t = q^-1.
 
 
 def _ingest(pres, gens, s=0):
@@ -177,117 +188,144 @@ def _rules(pres):
     """The redex table {(g1, g2): [(factor, replacement, ds), ...]}.
 
     g1 g2 rewrites to the sum of factor * replacement * w^ds; the keys, the
-    left-hand sides, alone fix the normal forms.
+    left-hand sides, alone fix the normal forms.  Every factor lies in
+    Z[t], t = q^-1, and is written (k, r) for t^k * sum_j r[j] t^j with
+    r[0] != 0.
     """
     n = pres.n
     sigma = pres.kind == "sigma"
     zs = [z(i) for i in range(n + 1)]
     zb = [z_star(i) for i in range(n if sigma else n + 1)]  # no z_n* in sigma
+    one, minus_one, q_inv, q_inv2 = (0, (1,)), (0, (-1,)), (1, (1,)), (2, (1,))
+    qinv2_m1, one_m_qinv2 = (0, (-1, 0, 1)), (0, (1, 0, -1))  # ±(q^-2 - 1)
     rules = {}
     for i, zi in enumerate(zs):
         for j in range(i):
-            rules[zi, zs[j]] = [(Q_INV, (zs[j], zi), 0)]
+            rules[zi, zs[j]] = [(q_inv, (zs[j], zi), 0)]
     for i, bi in enumerate(zb):
         for j in range(i + 1, len(zb)):
-            rules[bi, zb[j]] = [(Q_INV, (zb[j], bi), 0)]
+            rules[bi, zb[j]] = [(q_inv, (zb[j], bi), 0)]
         for j, zj in enumerate(zs):
             if j != i:
-                rules[bi, zj] = [(Q_INV, (zj, bi), 0)]
+                rules[bi, zj] = [(q_inv, (zj, bi), 0)]
         if i < n:  # z_i* z_i -> q^-2 z_i z_i* - (q^-2-1) + (q^-2-1) sum_{j<i} z_j z_j*
-            rules[bi, zs[i]] = [(Q_INV2, (zs[i], bi), 0), (-QINV2_M1, (), 0)] + [
-                (QINV2_M1, (zs[j], zb[j]), 0) for j in range(i)
+            rules[bi, zs[i]] = [(q_inv2, (zs[i], bi), 0), (one_m_qinv2, (), 0)] + [
+                (qinv2_m1, (zs[j], zb[j]), 0) for j in range(i)
             ]
     # 1 - sum_{j<n} z_j z_j*, times w^-1 in sigma
     ds = -1 if sigma else 0
-    unit = [(ONE, (), ds)] + [(-ONE, (zs[j], zb[j]), ds) for j in range(n)]
+    unit = [(one, (), ds)] + [(minus_one, (zs[j], zb[j]), ds) for j in range(n)]
     if sigma:
         rules[zs[n], zs[n]] = unit
     else:
         rules[zs[n], zb[n]] = unit
-        rules[zb[n], zs[n]] = [(ONE, (zs[n], zb[n]), 0)]
+        rules[zb[n], zs[n]] = [(one, (zs[n], zb[n]), 0)]
     return rules
 
 
-def _reducible_positions(pres, word):
-    rules = _rules(pres)
-    return [t for t in range(len(word) - 1) if (word[t], word[t + 1]) in rules]
+@functools.cache
+def _compiled(pres):
+    """_rules(pres) on letter codes: (table, width, codes).
+
+    codes maps z_i to i and z_i* to n+1+i, width is 2(n+1), and
+    table[code(g1) * width + code(g2)] is the tuple of branches
+    (k, r, replacement codes, ds) of the rule for g1 g2, or None.
+    """
+    n = pres.n
+    width = 2 * (n + 1)
+    codes = {z(i): i for i in range(n + 1)}
+    codes.update({z_star(i): n + 1 + i for i in range(n + 1)})
+    table = [None] * (width * width)
+    for (g1, g2), rule in _rules(pres).items():
+        branches = tuple((k, r, tuple(codes[g] for g in rep), ds) for (k, r), rep, ds in rule)
+        # _chase and the random walk follow single-branch rules as swaps by t^k
+        assert len(branches) > 1 or branches[0][1:] == ((1,), (codes[g2], codes[g1]), 0)
+        table[codes[g1] * width + codes[g2]] = branches
+    return table, width, codes
 
 
-def _apply_rule(pres, word, s, t):
-    """Expand the redex at position t into [(factor, new_word, new_s), ...]."""
+def _reducible_positions(table, width, word):
+    return [t for t in range(len(word) - 1) if table[word[t] * width + word[t + 1]]]
+
+
+def _apply_rule(table, width, word, s, t):
+    """Expand the redex at position t into [(k, r, new_word, new_s), ...]."""
     head, tail = word[:t], word[t + 2 :]
-    return [(f, head + rep + tail, s + ds) for f, rep, ds in _rules(pres)[word[t], word[t + 1]]]
+    rule = table[word[t] * width + word[t + 1]]
+    return [(k, r, head + rep + tail, s + ds) for k, r, rep, ds in rule]
 
 
-def _chase(pres, word, s):
+def _chase(table, width, word, s):
     """Apply single-branch rules at leftmost positions until stuck.
 
-    The single-branch rules of the table are swaps with factor q^-1 or 1,
-    so the combined factor is q^-k.  Returns (k, word, s, t) where t is the
+    The single-branch rules of the table are swaps with factor t^0 or t^1,
+    so the combined factor is t^k.  Returns (k, word, s, t) where t is the
     leftmost branching redex, or -1 if the word is normal.
     """
-    rule_at = _rules(pres).get
     w = list(word)
     k = 0
     t = 0
     last = len(w) - 1
     while t < last:
-        rule = rule_at((w[t], w[t + 1]))
+        rule = table[w[t] * width + w[t + 1]]
         if rule is None:
             t += 1
             continue
         if len(rule) > 1:
             return k, tuple(w), s, t
         w[t], w[t + 1] = w[t + 1], w[t]
-        if rule[0][0] is Q_INV:
-            k += 1
+        k += rule[0][0]
         if t:
             t -= 1
     return k, tuple(w), s, -1
 
 
-_QINV_POWS = [ONE, Q_INV]
-
-
-def _qinv_pow(k):
-    while len(_QINV_POWS) <= k:
-        _QINV_POWS.append(_QINV_POWS[-1] * Q_INV)
-    return _QINV_POWS[k]
-
-
-def _word_to_monomial(pres, word, s):
-    n = pres.n
+def _word_to_monomial(n, word, s):
+    """The monomial of a normal word of letter codes."""
     a = [0] * (n + 1)
     b = [0] * (n + 1)
-    for kind, i in word:
-        if kind == "z":
-            a[i] += 1
+    for c in word:
+        if c <= n:
+            a[c] += 1
         else:
-            b[i] += 1
+            b[c - n - 1] += 1
     return Monomial(tuple(a), tuple(b), s)
 
 
-def _leftmost(pres, memo, register):
+def _t_scalar(c, k=0):
+    """The QScalar t^k * sum_j c[j] t^j, t = q^-1, of a nonzero trimmed c.
+
+    With v the t-valuation of c and m = len(c) - 1 this is
+    (c[m] + c[m-1] q + ... + c[v] q^(m-v)) / q^(k+m): the numerator has a
+    nonzero constant term, so the pair is canonical without a gcd.
+    """
+    v = 0
+    while not c[v]:
+        v += 1
+    return _from_qpow(c[v:][::-1], k + len(c) - 1)
+
+
+def _leftmost(table, width, memo, register):
     """Leftmost redexes; single-branch rules are followed inline by the chase."""
 
     def intern(word, s):
-        k, word, s, t = _chase(pres, word, s)
+        k, word, s, t = _chase(table, width, word, s)
         key = (word, s)
         if key not in memo:
-            register(key, word, s, _apply_rule(pres, word, s, t) if t >= 0 else None)
-        return (_qinv_pow(k) if k else ONE), key
+            register(key, word, s, _apply_rule(table, width, word, s, t) if t >= 0 else None)
+        return k, key
 
     return intern
 
 
-def _random_walk(pres, rng, memo, register):
+def _random_walk(table, width, rng, memo, register):
     """A randomly chosen redex at each step.
 
     A word met twice reuses the redex choices made on first contact: chains
     of single-branch applications are walked inline and recorded in a side
     table.
     """
-    walkmemo = {}  # key -> (factor, key of the walk's end)
+    walkmemo = {}  # key -> (t exponent, key of the walk's end)
 
     def intern(word, s):
         trail = []
@@ -296,20 +334,20 @@ def _random_walk(pres, rng, memo, register):
             if key in walkmemo:
                 sfx, final = walkmemo[key]
                 break
-            sfx, final = ONE, key
+            sfx, final = 0, key
             if key in memo:
                 break
-            positions = _reducible_positions(pres, word)
+            positions = _reducible_positions(table, width, word)
             branches = None
             if positions:
-                branches = _apply_rule(pres, word, s, rng.choice(positions))
+                branches = _apply_rule(table, width, word, s, rng.choice(positions))
             if not branches or len(branches) > 1:
                 register(key, word, s, branches)
                 break
-            f, word, s = branches[0]
-            trail.append((key, f))
-        for wkey, f in reversed(trail):
-            sfx = f if sfx is ONE else f * sfx
+            k, _, word, s = branches[0]
+            trail.append((key, k))
+        for wkey, k in reversed(trail):
+            sfx += k
             walkmemo[wkey] = (sfx, final)
         return sfx, final
 
@@ -319,17 +357,24 @@ def _random_walk(pres, rng, memo, register):
 def _rewrite(pres, terms, strategy="leftmost", rng=None):
     """Exhaustively rewrite a {(word, s): coeff} map to normal form.
 
+    Each root word is encoded once as letter codes.  Below the roots every
+    coefficient is an int tuple in t = q^-1, since every rule factor lies
+    in Z[t]; a normal form becomes a QScalar only at a root, where it is
+    multiplied into the root's coefficient.
+
     Normal forms of intermediate words are cached for the duration of the
     call, so branches that reconverge on the same word are expanded once
     instead of once per path.  The strategy's intern function chooses the
     redexes: it follows single-branch rule chains inline and registers the
-    word it stops at, a branch site or a normal word, returning
-    (factor, key) with word = factor * key's word modulo the relations.
-    Only branch sites become nodes of the evaluation DAG.
+    word it stops at, a branch site or a normal word, returning (k, key)
+    with word = t^k * key's word modulo the relations.  Only branch sites
+    become nodes of the evaluation DAG.
     """
+    table, width, codes = _compiled(pres)
+    n = pres.n
     memo = {}   # key -> normal form; None while a branch site is pending
     raw = {}    # key -> branch list: branch site found, not yet expanded
-    edges = {}  # key -> [(factor, child key)]: expanded, children pending
+    edges = {}  # key -> [(k, r, child key)]: expanded, children pending
     todo = []
 
     def register(key, word, s, branches):
@@ -338,20 +383,20 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
             raw[key] = branches
             todo.append(key)
         else:
-            memo[key] = {_word_to_monomial(pres, word, s): ONE}
+            memo[key] = {_word_to_monomial(n, word, s): (1,)}
 
     if strategy == "leftmost":
-        intern = _leftmost(pres, memo, register)
+        intern = _leftmost(table, width, memo, register)
     elif strategy == "random":
-        intern = _random_walk(pres, rng or random.Random(0), memo, register)
+        intern = _random_walk(table, width, rng or random.Random(0), memo, register)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     roots = []
     for (word, s), coeff in terms.items():
         if coeff:
-            fac, key = intern(word, s)
-            roots.append((coeff * fac if fac is not ONE else coeff, key))
+            k, key = intern(tuple([codes[g] for g in word]), s)
+            roots.append((coeff, k, key))
 
     while todo:
         key = todo[-1]
@@ -360,22 +405,23 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
             continue
         if key in raw:
             out = []
-            for rf, new_word, new_s in raw.pop(key):
-                fac, child = intern(new_word, new_s)
-                out.append((rf * fac if fac is not ONE else rf, child))
+            for rk, r, new_word, new_s in raw.pop(key):
+                k, child = intern(new_word, new_s)
+                out.append((rk + k, r, child))
             edges[key] = out
             continue
         out = edges[key]
-        missing = [child for _, child in out if memo[child] is None]
+        missing = [child for _, _, child in out if memo[child] is None]
         if missing:
             todo.extend(missing)
             continue
         nf = {}
-        for fac, child in out:
+        for k, r, child in out:
+            pad = (0,) * k
             for mon, c in memo[child].items():
-                fc = c if fac is ONE else fac * c
+                fc = pad + _pmul(r, c)
                 acc = nf.get(mon)
-                acc = fc if acc is None else acc + fc
+                acc = fc if acc is None else _padd(acc, fc)
                 if acc:
                     nf[mon] = acc
                 elif mon in nf:
@@ -385,9 +431,9 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
         todo.pop()
 
     result = {}
-    for coeff, key in roots:
+    for coeff, k, key in roots:
         for mon, c in memo[key].items():
-            fc = coeff * c
+            fc = coeff * _t_scalar(c, k)
             acc = result.get(mon)
             acc = fc if acc is None else acc + fc
             if acc:
@@ -395,6 +441,34 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
             elif mon in result:
                 del result[mon]
     return result
+
+
+def unresolved_overlaps(pres):
+    """The overlaps g1 g2 g3 of the redex table that do not resolve.
+
+    Every left-hand side has length 2, so the only ambiguities are the
+    overlaps: letter triples with g1 g2 and g2 g3 both redexes.  The system
+    terminates, so by Bergman's diamond lemma it is confluent exactly when
+    each overlap resolves, that is when rewriting g1 g2 first and g2 g3
+    first reach the same normal form.  Returns the triples where they
+    differ; an empty list proves confluence.
+    """
+    table, width, codes = _compiled(pres)
+    letters = sorted(codes, key=codes.get)
+
+    def decode(word):
+        return tuple(letters[c] for c in word)
+
+    def one_step(word, t):  # the redex at t rewritten once, as _rewrite's terms
+        branches = _apply_rule(table, width, word, 0, t)
+        return {(decode(w), s): _t_scalar(r, k) for k, r, w, s in branches}
+
+    unresolved = []
+    for word in product(range(width), repeat=3):
+        if table[word[0] * width + word[1]] and table[word[1] * width + word[2]]:
+            if _rewrite(pres, one_step(word, 0)) != _rewrite(pres, one_step(word, 1)):
+                unresolved.append(decode(word))
+    return unresolved
 
 
 class AlgebraElement:

@@ -36,7 +36,7 @@ from qwp.parsing import (
     parse_expression,
     parse_scalar,
 )
-from qwp.scalar import QScalar, _coeff_str
+from qwp.scalar import QScalar, _coeff_str, _digits
 from qwp.star_algebra import (
     AlgebraElement,
     AlgebraPresentation,
@@ -399,6 +399,16 @@ def test_coefficients_past_the_digit_limit_print_and_parse():
     # an integral Fraction coefficient prints as its numerator, as str() does
     assert _coeff_str(Fraction(-(3**10000))) == _coeff_str(-(3**10000))
     assert len(_coeff_str(3**10000)) == 4772
+    # past the limit _digits converts through decimal; compare with str() unlimited
+    numbers = [3**12619, -(7**6000), 2**100000 - 1, -(10**30103 + 12345), 5**172268 + 1]
+    assert all(abs(n) >= 10**4300 for n in numbers)  # str() refuses each of them
+    printed = [_digits(n) for n in numbers]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert printed == [str(n) for n in numbers]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_element_power_budget_exits_one(monkeypatch):

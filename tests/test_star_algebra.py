@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwp import star_algebra
 from qwp.scalar import QScalar
 from qwp.star_algebra import (
     AlgebraElement,
@@ -23,7 +25,9 @@ from qwp.star_algebra import (
     defining_relations,
     make_named_element,
     _rules,
+    _t_scalar,
     normalize,
+    unresolved_overlaps,
     z,
     z_star,
 )
@@ -176,6 +180,56 @@ def test_rule_table_keys_are_the_reducible_pairs(pres):
     assert set(rules) <= set(product(letters, repeat=2))
     for pair in product(letters, repeat=2):
         assert (pair in rules) == (not _normal_monomial(pres, pair)), pair
+
+
+@pytest.mark.parametrize("kind", ["sphere", "sigma"])
+def test_every_overlap_resolves(kind):
+    for n in range(1, 6):
+        assert unresolved_overlaps(AlgebraPresentation(kind, n)) == [], f"{kind}({n})"
+
+
+def test_overlap_check_finds_a_broken_rule(monkeypatch):
+    # drop the last correction term of z_1* z_1 in sphere(3): a wrong right-hand side
+    rules = _rules(S3)
+    broken = {**rules, (z_star(1), z(1)): rules[z_star(1), z(1)][:-1]}
+    monkeypatch.setattr(star_algebra, "_rules", lambda pres: broken)
+    star_algebra._compiled.cache_clear()
+    try:
+        assert unresolved_overlaps(S3)
+    finally:
+        star_algebra._compiled.cache_clear()
+
+
+def test_t_polynomials_become_canonical_scalars():
+    rng = random.Random(13)
+    cases = [(1,), (-4,), (0, 0, 7), (0, 1, 0, -1), (2, 0, 0, 0, 0, 3)]
+    for _ in range(60):
+        c = [rng.randint(-9, 9) for _ in range(rng.randrange(1, 9))]
+        c[-1] = c[-1] or 1
+        if rng.random() < 0.5:
+            v = rng.randrange(len(c))
+            c[:v] = [0] * v
+        cases.append(tuple(c))
+    for c in cases:
+        for k in (0, 1, 3):
+            want = sum((cj * QScalar.q(-j - k) for j, cj in enumerate(c)), QScalar.zero())
+            got = _t_scalar(c, k)
+            assert (got.num, got.den) == (want.num, want.den), (c, k)
+
+
+@pytest.mark.parametrize("pres", [S2, SIG2], ids=lambda p: f"{p.kind}{p.n}")
+def test_root_coefficients_scale_the_normal_form(pres):
+    rng = random.Random(14)
+    coeffs = [1 / (1 - q**2), (q + 2) / 3, QScalar(Fraction(-5, 7)) * q**-3]
+    for trial in range(12):
+        word = random_word(pres, rng, max_len=8)
+        while len(word) < 6:
+            word = random_word(pres, rng, max_len=8)
+        for strategy in ("leftmost", "random"):
+            nf = normalize(word, pres, strategy=strategy, rng=random.Random(trial))
+            for c in coeffs:
+                got = normalize([(c, word)], pres, strategy=strategy, rng=random.Random(trial))
+                assert got == nf.scale(c), (word, strategy, c)
 
 
 def test_sigma_zstar_n_elimination():
