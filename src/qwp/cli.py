@@ -80,6 +80,10 @@ _SIGMA_KINDS = ("sigma", "sigma_lens", "rp")
 DEFAULT_CUTOFF = 10
 DEFAULT_TOLERANCE = 1e-12
 
+# random words in the rewriting-confluence check: how many, and their longest length
+_CONFLUENCE_SAMPLES = 10000
+_CONFLUENCE_MAX_LENGTH = 12
+
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
@@ -292,19 +296,17 @@ def report_schema(command):
     return json.loads(files("qwp").joinpath("schemas", name).read_text(encoding="utf-8"))
 
 
-def _residual_checks(per_relation, tolerance):
-    checks = []
-    for name in sorted(per_relation):
-        value = per_relation[name]
-        checks.append(
-            {
-                "check": f"relation {name}",
-                "status": "pass" if value <= tolerance else "fail",
-                "max_residual": value,
-                "tolerance": tolerance,
-            }
-        )
-    return checks
+def _residual_checks(prefix, values, tolerance):
+    """One check row per named value, sorted by name; a value within tolerance passes."""
+    return [
+        {
+            "check": f"{prefix} {name}",
+            "status": "pass" if values[name] <= tolerance else "fail",
+            "max_residual": values[name],
+            "tolerance": tolerance,
+        }
+        for name in sorted(values)
+    ]
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -456,7 +458,7 @@ def _cmd_rep_verify(args, config, q0):
     pres = AlgebraPresentation(spec.pres_kind, args.n)
     space = TruncatedSpace(args.n, config.cutoff)
     out = relation_residual(pres, spec, space)
-    checks = _residual_checks(out["per_relation"], config.tolerance)
+    checks = _residual_checks("relation", out["per_relation"], config.tolerance)
     passed = out["max_residual"] <= config.tolerance and not out["empty_interior"]
     report = {
         "command": "rep verify",
@@ -480,18 +482,9 @@ def _cmd_rep_sectors(args, config, q0):
     spec = _rep_spec(args, q0)
     space = TruncatedSpace(args.n, config.cutoff)
     out = sector_split_check(spec, args.m, space)
-    checks = []
-    for label in sorted(out["generators"]):
-        info = out["generators"][label]
-        checks.append(
-            {
-                "check": f"sector {label}",
-                "status": "pass" if info["invariant"] else "fail",
-                "max_residual": info["max_off_sector"],
-                "tolerance": 0.0,
-            }
-        )
-    control = out["control_z0"]
+    # an off-sector entry is never zero, so a generator is invariant exactly when its max is 0
+    maxima = {label: info["max_off_sector"] for label, info in out["generators"].items()}
+    checks = _residual_checks("sector", maxima, 0.0)
     report = {
         "command": "rep sectors",
         "status": "ok" if out["all_invariant"] else "fail",
@@ -502,11 +495,7 @@ def _cmd_rep_sectors(args, config, q0):
         "cutoff": config.cutoff,
         "all_invariant": out["all_invariant"],
         "checks": checks,
-        "control_z0": {
-            "invariant": control["invariant"],
-            "off_sector_entries": control["off_sector_entries"],
-            "max_off_sector": control["max_off_sector"],
-        },
+        "control_z0": out["control_z0"],
     }
     return report, 0 if out["all_invariant"] else 1
 
@@ -669,24 +658,21 @@ def check_power_products(config):
         a = make_named_element("a", {}, pres)
         one = AlgebraElement.one(pres)
         for N in range(1, 6):
-            lhs = normalize([z(0)] * N + [z_star(0)] * N, pres)
-            rhs = one
-            for s in range(N):
-                rhs = rhs * (one - (q ** (2 * s)) * a)
-            cases += 1
-            if lhs != rhs:
-                failures.append({"n": n, "N": N, "which": "plain"})
-            lhs = normalize([z_star(0)] * N + [z(0)] * N, pres)
-            rhs = one
-            for s in range(1, N + 1):
-                rhs = rhs * (one - (q ** (-2 * s)) * a)
-            cases += 1
-            if lhs != rhs:
-                failures.append({"n": n, "N": N, "which": "starred"})
+            for which, x, y, exps in (
+                ("plain", z(0), z_star(0), [2 * s for s in range(N)]),
+                ("starred", z_star(0), z(0), [-2 * s for s in range(1, N + 1)]),
+            ):
+                lhs = normalize([x] * N + [y] * N, pres)
+                rhs = one
+                for e in exps:
+                    rhs = rhs * (one - (q**e) * a)
+                cases += 1
+                if lhs != rhs:
+                    failures.append({"n": n, "N": N, "which": which})
     return _verdict("power-products", cases, failures)
 
 
-def check_rewriting_confluence(config, samples=10000, max_length=12):
+def check_rewriting_confluence(config):
     """Relations rewrite to zero and random words are strategy-independent."""
     failures = []
     cases = 0
@@ -697,14 +683,14 @@ def check_rewriting_confluence(config, samples=10000, max_length=12):
             if not (normalize(lhs, pres) - normalize(rhs, pres)).is_zero():
                 failures.append({"presentation": f"{pres.kind}({pres.n})", "relation": name})
     rng = random.Random(config.seed)
-    for _ in range(samples):
+    for _ in range(_CONFLUENCE_SAMPLES):
         pres = rng.choice(presentations)
         letters = [Generator("z", i) for i in range(pres.n + 1)]
         letters += [g.star() for g in letters]
         if pres.kind == "sigma":
             w_gen = Generator("w", -1)
             letters += [w_gen, w_gen.star()]
-        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_length)))
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, _CONFLUENCE_MAX_LENGTH)))
         cases += 1
         first = normalize(word, pres, strategy="leftmost")
         second = normalize(word, pres, strategy="random", rng=random.Random(rng.getrandbits(32)))
@@ -715,7 +701,7 @@ def check_rewriting_confluence(config, samples=10000, max_length=12):
                     "word": [str(g) for g in word],
                 }
             )
-    return _verdict("rewriting-confluence", cases, failures, samples=samples)
+    return _verdict("rewriting-confluence", cases, failures, samples=_CONFLUENCE_SAMPLES)
 
 
 def check_representation_residuals(config):

@@ -207,12 +207,7 @@ def verify_resolution(r, g):
     """
     pres = g.pres
     # r.target is a group element already; only cyclic targets need reduction
-    if g.modulus:
-        target = r.target % g.modulus
-        cotarget = -r.target % g.modulus
-    else:
-        target = r.target
-        cotarget = -r.target
+    target, cotarget = (t % g.modulus if g.modulus else t for t in (r.target, -r.target))
     failures = []
     for idx, (a, b) in enumerate(r.pairs):
         for slot, elem, want in (("a", a, cotarget), ("b", b, target)):
@@ -391,43 +386,32 @@ def bezout_lens_resolution(N, n, weights=None, target=1, pres=None):
     if N == 1:
         return ResolutionOfIdentity(0, ((one, one),))
     a = make_named_element("a", {}, pres)
-    if target == 1:
-        # alpha*P + beta*Q = 1 with P = prod_{s=0}^{N-2}(1 - q^{2s}x),
-        # Q = 1 - q^{-2}x; P(a) = z_0^{N-1} z_0*^{N-1}, Q(a) = z_0* z_0.
-        p = (_ONE,)
-        for s in range(N - 1):
-            p = _pmul(p, (_ONE, -QScalar.q(2 * s)))
-        D, alpha, beta = _linear_cofactors(p, (_ONE, -QScalar.q(-2)))
-        inv = _ONE / D
-        pairs = (
-            (
-                (_poly_at(alpha, a, pres) * _zpow(pres, 0, N - 1)).scale(inv),
-                _zpow(pres, 0, N - 1, star=True),
-            ),
-            (
-                (_poly_at(beta, a, pres) * _zpow(pres, 0, 1, star=True)).scale(inv),
-                _zpow(pres, 0, 1),
-            ),
-        )
-        return ResolutionOfIdentity(1, pairs)
-    # gamma*(1 - x) + delta*prod_{s=1}^{N-1}(1 - q^{-2s}x) = 1, with
-    # 1 - a = z_0 z_0* and the product equal to z_0*^{N-1} z_0^{N-1}.
-    p = (_ONE,)
-    for s in range(1, N):
-        p = _pmul(p, (_ONE, -QScalar.q(-2 * s)))
-    D, delta, gamma = _linear_cofactors(p, (_ONE, -_ONE))
+    # alpha*P + beta*Q = D with P(a) = x^{N-1} y^{N-1} and Q(a) = y x:
+    #   target +1, (x, y) = (z_0, z_0*): P = prod_{s=0}^{N-2}(1 - q^{2s}a), Q = 1 - q^{-2}a;
+    #   target -1, (x, y) = (z_0*, z_0): P = prod_{s=1}^{N-1}(1 - q^{-2s}a), Q = 1 - a.
+    star = target == -1
+    if star:
+        consts, lin = [-QScalar.q(-2 * s) for s in range(1, N)], -_ONE
+    else:
+        consts, lin = [-QScalar.q(2 * s) for s in range(N - 1)], -QScalar.q(-2)
+    D, alpha, beta = _linear_cofactors(_linear_product(consts), (_ONE, lin))
     inv = _ONE / D
+    x1, xN = (_zpow(pres, 0, k, star) for k in (1, N - 1))
+    y1, yN = (_zpow(pres, 0, k, not star) for k in (1, N - 1))
     pairs = (
-        (
-            (_poly_at(gamma, a, pres) * _zpow(pres, 0, 1)).scale(inv),
-            _zpow(pres, 0, 1, star=True),
-        ),
-        (
-            (_poly_at(delta, a, pres) * _zpow(pres, 0, N - 1, star=True)).scale(inv),
-            _zpow(pres, 0, N - 1),
-        ),
+        ((_poly_at(alpha, a, pres) * xN).scale(inv), yN),
+        ((_poly_at(beta, a, pres) * y1).scale(inv), x1),
     )
-    return ResolutionOfIdentity(N - 1, pairs)
+    # target -1 lists the Q pair first
+    return ResolutionOfIdentity(target % N, pairs[::target])
+
+
+def _linear_product(consts):
+    """prod_c (1 + c y) as a coefficient tuple in y, low degree first."""
+    out = (_ONE,)
+    for c in consts:
+        out = _pmul(out, (_ONE, c))
+    return out
 
 
 def _level_poly(l, plus):
@@ -436,14 +420,9 @@ def _level_poly(l, plus):
     minus: prod_{k=0}^{l-1} (1 + (1 - q^{2k}) y)   from z^l z*^l
     plus:  prod_{s=1}^{l}   (1 - (q^{-2s} - 1) y)  from z*^l z^l
     """
-    out = (_ONE,)
     if plus:
-        for s in range(1, l + 1):
-            out = _pmul(out, (_ONE, -(QScalar.q(-2 * s) - _ONE)))
-    else:
-        for k in range(l):
-            out = _pmul(out, (_ONE, _ONE - QScalar.q(2 * k)))
-    return out
+        return _linear_product(-(QScalar.q(-2 * s) - _ONE) for s in range(1, l + 1))
+    return _linear_product(_ONE - QScalar.q(2 * k) for k in range(l))
 
 
 def _homogenize_at(poly, total, belem, celem, pres):
@@ -519,23 +498,15 @@ def weighted_resolution(m, pres=None):
         raise ValueError("presentation size does not match the weight tuple")
     total = math.prod(m)
     exps = tuple(total // m[i] for i in range(n + 1))
-    minus_c = _triangular_coeffs(pres, exps, plus=False)
-    plus_c = _triangular_coeffs(pres, exps, plus=True)
-    res_minus = ResolutionOfIdentity(
-        -1,
-        tuple(
-            (minus_c[i] * _zpow(pres, i, exps[i]), _zpow(pres, i, exps[i], star=True))
-            for i in range(n + 1)
-        ),
-    )
-    res_plus = ResolutionOfIdentity(
-        1,
-        tuple(
-            (plus_c[i] * _zpow(pres, i, exps[i], star=True), _zpow(pres, i, exps[i]))
-            for i in range(n + 1)
-        ),
-    )
-    return {"res_plus": res_plus, "res_minus": res_minus}
+    out = {}
+    for key, target, plus in (("res_minus", -1, False), ("res_plus", 1, True)):
+        coeffs = _triangular_coeffs(pres, exps, plus)
+        pairs = tuple(
+            (coeffs[i] * _zpow(pres, i, e, star=plus), _zpow(pres, i, e, star=not plus))
+            for i, e in enumerate(exps)
+        )
+        out[key] = ResolutionOfIdentity(target, pairs)
+    return {"res_plus": out["res_plus"], "res_minus": out["res_minus"]}
 
 
 def _power(res, k, g):
@@ -584,16 +555,10 @@ def compose_tower_resolutions(tower, lens_res, cyclic_res, g):
     pres = g.pres
     g_cyc = GradingSpec(pres, g.weights, modulus=N)
     g_lens = GradingSpec(pres, g.weights, scale=N)
-    checks = (
-        ("lens res_plus", lens_res["res_plus"], g_lens),
-        ("lens res_minus", lens_res["res_minus"], g_lens),
-        ("cyclic res_plus", cyclic_res["res_plus"], g_cyc),
-        ("cyclic res_minus", cyclic_res["res_minus"], g_cyc),
-    )
-    for name, res, spec in checks:
-        verdict = verify_resolution(res, spec)
-        if not verdict["valid"]:
-            raise ValueError(f"input certificate {name} failed verification")
+    for name, res, spec in (("lens", lens_res, g_lens), ("cyclic", cyclic_res, g_cyc)):
+        for key in ("res_plus", "res_minus"):
+            if not verify_resolution(res[key], spec)["valid"]:
+                raise ValueError(f"input certificate {name} {key} failed verification")
     out = {}
     for d, cyc in ((1, cyclic_res["res_plus"]), (-1, cyclic_res["res_minus"])):
         pairs = []
@@ -666,8 +631,8 @@ def _base_resolutions(p, g):
     """The {"res_plus", "res_minus"} certificates that every degree of g is a power of."""
     if g.modulus:
         return {
-            "res_plus": bezout_lens_resolution(g.modulus, p.n, g.weights, target=1, pres=p),
-            "res_minus": bezout_lens_resolution(g.modulus, p.n, g.weights, target=-1, pres=p),
+            key: bezout_lens_resolution(g.modulus, p.n, g.weights, target=t, pres=p)
+            for key, t in (("res_plus", 1), ("res_minus", -1))
         }
     if g.scale != 1:
         return weighted_resolution(g.weights, pres=p)

@@ -159,16 +159,16 @@ class AlgebraPresentation:
 # ---------------------------------------------------------------------------
 # rewriting engine
 #
-# Working terms are (coeff, zword, s): zword is a tuple of z/z* generators
-# (never w, never z_n* in sigma), s the collected central w exponent.
-# Inside _rewrite a word is a tuple of letter codes, z_i -> i and
-# z_i* -> n+1+i, and a coefficient is an int tuple c, lowest degree first,
-# standing for sum_j c[j] t^j with t = q^-1.
+# Inside _rewrite a word is (codes, s): codes a tuple of z/z* letter codes,
+# z_i -> i and z_i* -> n+1+i (never w, never z_n* in sigma), and s the
+# collected central w exponent.  A coefficient is an int tuple c, lowest
+# degree first, standing for sum_j c[j] t^j with t = q^-1.
 
 
-def _ingest(pres, gens, s=0):
-    """Strip w/w* into the exponent s; in sigma replace z_n* by w z_n."""
-    zword = []
+def _ingest(pres, codes, gens):
+    """(letter codes, w exponent s) of a word; in sigma z_n* counts as w z_n."""
+    word = []
+    s = 0
     for g in gens:
         pres.check_generator(g)
         if g.kind == "w":
@@ -177,10 +177,10 @@ def _ingest(pres, gens, s=0):
             s -= 1
         elif pres.kind == "sigma" and g.kind == "z*" and g.index == pres.n:
             s += 1
-            zword.append(z(g.index))
+            word.append(g.index)  # the code of z_n
         else:
-            zword.append(g)
-    return tuple(zword), s
+            word.append(codes[g])
+    return tuple(word), s
 
 
 @functools.cache
@@ -355,12 +355,14 @@ def _random_walk(table, width, rng, memo, register):
 
 
 def _rewrite(pres, terms, strategy="leftmost", rng=None):
-    """Exhaustively rewrite a {(word, s): coeff} map to normal form.
+    """Exhaustively rewrite (coeff, word) pairs to a {Monomial: coeff} map.
 
-    Each root word is encoded once as letter codes.  Below the roots every
-    coefficient is an int tuple in t = q^-1, since every rule factor lies
-    in Z[t]; a normal form becomes a QScalar only at a root, where it is
-    multiplied into the root's coefficient.
+    Each word, an iterable of Generators, is encoded once as letter codes,
+    and pairs with the same encoded word are merged, so terms that cancel
+    are never rewritten.  Below these roots every coefficient is an int
+    tuple in t = q^-1, since every rule factor lies in Z[t]; a normal form
+    becomes a QScalar only at a root, where it is multiplied into the
+    root's coefficient.
 
     Normal forms of intermediate words are cached for the duration of the
     call, so branches that reconverge on the same word are expanded once
@@ -392,11 +394,19 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
+    work = {}
+    for coeff, gens in terms:
+        key = _ingest(pres, codes, gens)
+        acc = work.get(key)
+        acc = coeff if acc is None else acc + coeff
+        if acc:
+            work[key] = acc
+        elif key in work:
+            del work[key]
     roots = []
-    for (word, s), coeff in terms.items():
-        if coeff:
-            k, key = intern(tuple([codes[g] for g in word]), s)
-            roots.append((coeff, k, key))
+    for (word, s), coeff in work.items():
+        k, key = intern(word, s)
+        roots.append((coeff, k, key))
 
     while todo:
         key = todo[-1]
@@ -461,7 +471,8 @@ def unresolved_overlaps(pres):
 
     def one_step(word, t):  # the redex at t rewritten once, as _rewrite's terms
         branches = _apply_rule(table, width, word, 0, t)
-        return {(decode(w), s): _t_scalar(r, k) for k, r, w, s in branches}
+        # a rule's w exponent ds is 0 or -1
+        return [(_t_scalar(r, k), decode(w) + (W_STAR,) * -s) for k, r, w, s in branches]
 
     unresolved = []
     for word in product(range(width), repeat=3):
@@ -582,20 +593,10 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_same(other)
-        work = {}
-        for m1, c1 in self.terms.items():
-            w1 = m1.word()
-            for m2, c2 in other.terms.items():
-                word, s = _ingest(self.pres, w1 + m2.word())
-                key = (word, s)
-                c = c1 * c2
-                cur = work.get(key)
-                val = c if cur is None else cur + c
-                if val:
-                    work[key] = val
-                elif key in work:
-                    del work[key]
-        return AlgebraElement(self.pres, _rewrite(self.pres, work))
+        left = [(m.word(), c) for m, c in self.terms.items()]
+        right = [(m.word(), c) for m, c in other.terms.items()]
+        terms = [(c1 * c2, w1 + w2) for w1, c1 in left for w2, c2 in right]
+        return AlgebraElement(self.pres, _rewrite(self.pres, terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, QScalar)):
@@ -645,36 +646,21 @@ def normalize(x, pres, strategy="leftmost", rng=None):
     (coeff, word) pairs, or an AlgebraElement (idempotence: renormalizing
     an element returns an equal element).
     """
-    work = {}
-
-    def _feed(coeff, gens, s=0):
-        word, s = _ingest(pres, tuple(gens), s)
-        key = (word, s)
-        cur = work.get(key)
-        val = coeff if cur is None else cur + coeff
-        if val:
-            work[key] = val
-        elif key in work:
-            del work[key]
-
     if isinstance(x, Generator):
-        _feed(ONE, (x,))
+        terms = [(ONE, (x,))]
     elif isinstance(x, AlgebraElement):
         if x.pres != pres:
             raise ValueError("element belongs to a different presentation")
-        for mon, coeff in x.terms.items():
-            _feed(coeff, mon.word())
+        terms = [(coeff, mon.word()) for mon, coeff in x.terms.items()]
     elif isinstance(x, Iterable):
         x = list(x)
         if x and isinstance(x[0], tuple) and len(x[0]) == 2 and not isinstance(x[0], Generator):
-            for coeff, gens in x:
-                coeff = coeff if isinstance(coeff, QScalar) else QScalar(coeff)
-                _feed(coeff, tuple(gens))
+            terms = [(c if isinstance(c, QScalar) else QScalar(c), gens) for c, gens in x]
         else:
-            _feed(ONE, tuple(x))
+            terms = [(ONE, x)]
     else:
         raise TypeError(f"cannot normalize object of type {type(x).__name__}")
-    return AlgebraElement(pres, _rewrite(pres, work, strategy=strategy, rng=rng))
+    return AlgebraElement(pres, _rewrite(pres, terms, strategy=strategy, rng=rng))
 
 
 def adjoint(x):

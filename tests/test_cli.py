@@ -245,6 +245,20 @@ def test_lens_size_budget_exits_one(monkeypatch):
     assert code == 1 and report["error"]["type"] == "PhiBuilt"
 
 
+def test_cube_budget_exits_one():
+    for argv in (
+        ["rep", "verify", "--family", "sphere", "--n", "3", "--q0", "1/2", "--cutoff", "1000"],
+        ["rep", "fredholm", "z0 z0*", "--n", "3", "--m", "1", "--q0", "1/2", "--cutoff", "1000"],
+    ):
+        start = time.perf_counter()
+        code, report, _ = run(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 1 and report["status"] == "error", argv
+        assert report["error"]["type"] == "ValueError", argv
+        assert "MAX_CUBE_POINTS" in report["error"]["message"], argv
+        jsonschema.validate(report, report_schema("error"))
+
+
 def test_certify_lens_pairs_reverify():
     code, report, _ = run(["grading", "certify", "--space", "lens", "--N", "2", "--weights", "1,1"])
     assert code == 0 and report["verified"] is True

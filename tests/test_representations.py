@@ -26,6 +26,7 @@ from qwp.star_algebra import (
     z_star,
 )
 from qwp.representations import (
+    MAX_CUBE_POINTS,
     FredholmModule,
     RepSpec,
     TruncatedOperator,
@@ -113,6 +114,29 @@ def test_space_validation():
         TruncatedSpace(1, 3, sector=(2, 2))
     with pytest.raises(ValueError):
         TruncatedSpace(1, 3, sector=(0, 0))
+
+
+def test_cube_point_budget(monkeypatch):
+    def no_cube(*args, **kwargs):
+        # the budget must be checked before the cube is built or iterated
+        raise AssertionError("iterated the cube")
+
+    monkeypatch.setattr("qwp.representations.product", no_cube)
+    x = make_named_element("b", {"i": 0, "j": 0}, S3)
+    for build in (
+        lambda: TruncatedSpace(3, 1000),
+        lambda: TruncatedSpace(3, 1000, sector=(0, 2)),
+        lambda: TruncatedSpace(19, 1),
+        lambda: TruncatedSpace(10**9, 1),
+        lambda: FredholmModule(3, 1, HALF, 1000),
+        lambda: fredholm_trace(x, 3, 1, HALF, 1000),
+    ):
+        with pytest.raises(ValueError, match="MAX_CUBE_POINTS"):
+            build()
+    monkeypatch.undo()
+    # a cube of exactly MAX_CUBE_POINTS points passes, and so does any n at cutoff 0
+    assert TruncatedSpace(1, MAX_CUBE_POINTS - 1).dim == MAX_CUBE_POINTS
+    assert TruncatedSpace(1000, 0).dim == 1
 
 
 # -- representation specs ----------------------------------------------------
@@ -609,6 +633,18 @@ def test_bound_series_identity():
     assert 0 <= out["series_gap"] <= out["tail_bound"]
     longer = fredholm_trace(make_named_element("b", {"i": 0, "j": 0}, S2), 2, 1, HALF, 12)
     assert out["series_partial"] < longer["series_partial"] < 4.0
+
+
+def test_bound_series_is_the_direct_partial_sum():
+    for n in (1, 2, 3):
+        b00 = make_named_element("b", {"i": 0, "j": 0}, AlgebraPresentation.sphere(n))
+        for q0 in (Fraction(1, 4), HALF, Fraction(3, 4), Fraction(2, 7)):
+            closed = 1 / (1 - q0) ** n
+            for cutoff in (0, 1, 2, 5, 9):
+                direct = sum(math.comb(r + n - 1, n - 1) * q0**r for r in range(cutoff + 1))
+                out = fredholm_trace(b00, n, 1, q0, cutoff)
+                assert out["series_partial"] == float(direct), (n, q0, cutoff)
+                assert out["series_gap"] == float(closed - direct), (n, q0, cutoff)
 
 
 def test_fredholm_validation():

@@ -232,6 +232,35 @@ def test_root_coefficients_scale_the_normal_form(pres):
                 assert got == nf.scale(c), (word, strategy, c)
 
 
+def test_cancelling_terms_meet_before_rewriting(monkeypatch):
+    chased = []
+    chase = star_algebra._chase
+
+    def recording_chase(table, width, word, s):
+        chased.append(len(word))
+        return chase(table, width, word, s)
+
+    one = QScalar.one()
+    left = normalize([(one, (z(0),)), (one, (z(0), z(0)))], S1)
+    right = normalize([(one, (z(0), z(0))), (-one, (z(0),))], S1)
+    monkeypatch.setattr(star_algebra, "_chase", recording_chase)
+    got = left * right
+    # z0 z0^2 and z0^2 (-z0) share one word, and its two terms cancel before any chase
+    assert sorted(chased) == [2, 4]
+    assert got == normalize([(one, (z(0),) * 4), (-one, (z(0),) * 2)], S1)
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "random"])
+def test_opposite_terms_normalize_to_zero(strategy):
+    rng = random.Random(15)
+    for trial in range(40):
+        pres = rng.choice(ALL_PRES)
+        word = random_word(pres, rng)
+        c = QScalar(Fraction(rng.randint(1, 9), rng.randint(1, 9))) * q ** rng.randint(-3, 3)
+        out = normalize([(c, word), (-c, word)], pres, strategy=strategy, rng=random.Random(trial))
+        assert out.is_zero(), word
+
+
 def test_sigma_zstar_n_elimination():
     el = normalize((z_star(1),), SIG1)
     assert el.terms == {Monomial((0, 1), (0, 0), 1): QScalar.one()}
