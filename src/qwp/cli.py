@@ -53,6 +53,7 @@ from qwp.representations import (
     sector_split_check,
 )
 from qwp.star_algebra import (
+    MAX_PRESENTATION_N,
     AlgebraElement,
     AlgebraPresentation,
     Generator,
@@ -235,6 +236,8 @@ def _resolve_space(args, q0):
     if weights is None:
         if n is None:
             raise UsageError("give --n or --weights to fix the space size")
+        if n > MAX_PRESENTATION_N:
+            AlgebraPresentation.sphere(n)  # the budget refuses n before (1,) * (n + 1) is built
         weights = (1,) * (n + 1)
     if n is None:
         n = len(weights) - 1
@@ -428,6 +431,12 @@ def _cmd_ktheory_real_teardrop(args, config, q0):
     return report, 0
 
 
+def _rep_echo(args, spec, config):
+    """The representation a rep report speaks about: its flags, exact q0 and cutoff."""
+    echo = {key: getattr(args, key) for key in ("family", "n", "lam", "k", "sign")}
+    return {**echo, "q0": str(spec.q0), "cutoff": config.cutoff}
+
+
 def _cmd_rep_assemble(args, config, q0):
     spec = _rep_spec(args, q0)
     pres = AlgebraPresentation(spec.pres_kind, args.n)
@@ -438,13 +447,7 @@ def _cmd_rep_assemble(args, config, q0):
     report = {
         "command": "rep assemble",
         "status": "ok",
-        "family": args.family,
-        "n": args.n,
-        "q0": str(spec.q0),
-        "lam": args.lam,
-        "k": args.k,
-        "sign": args.sign,
-        "cutoff": config.cutoff,
+        **_rep_echo(args, spec, config),
         "input": args.expression,
         "dim": blob["dim"],
         "shift": blob["shift"],
@@ -463,13 +466,7 @@ def _cmd_rep_verify(args, config, q0):
     report = {
         "command": "rep verify",
         "status": "ok" if passed else "fail",
-        "family": args.family,
-        "n": args.n,
-        "q0": str(spec.q0),
-        "lam": args.lam,
-        "k": args.k,
-        "sign": args.sign,
-        "cutoff": config.cutoff,
+        **_rep_echo(args, spec, config),
         "tolerance": config.tolerance,
         "max_residual": out["max_residual"],
         "empty_interior": out["empty_interior"],

@@ -313,22 +313,17 @@ def _series_quotient(num, den, L):
 
 
 def _linear_cofactors(prod, lin):
-    """(D, c, f) with c*prod + f*lin = D for a linear lin = (l0, l1) coprime to prod.
+    """(D, f) with prod + f*lin = D for a linear lin = (l0, l1) coprime to prod, l0 != 0.
 
-    D = prod(r) at the root r = -l0/l1 of lin, c = 1, and f = (D - prod)/lin
-    comes from one synthetic division; c/D and f/D are the minimal-degree
-    Bezout cofactors.  With Laurent coefficients and l1 a signed power of
-    q, D and f stay Laurent polynomials, so no gcd is taken.
+    D = prod(r) at the root r = -l0/l1 of lin, and f = (D - prod)/lin is an
+    exact division, so the series quotient gives it; 1/D and f/D are the
+    minimal-degree Bezout cofactors.  With Laurent coefficients and l1 a
+    signed power of q, D and f stay Laurent polynomials, so no gcd is
+    taken.
     """
     l0, l1 = lin
-    inv = _ONE / l1
-    D = _peval(prod, -l0 * inv)
-    num = _psub((D,), prod)
-    quot = [QScalar.zero()] * (len(num) - 1)
-    carry = QScalar.zero()
-    for k in range(len(num) - 1, 0, -1):
-        carry = quot[k - 1] = (num[k] - l0 * carry) * inv
-    return D, (_ONE,), tuple(quot)
+    D = _peval(prod, -l0 / l1)
+    return D, _series_quotient(_psub((D,), prod), lin, len(prod) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +381,7 @@ def bezout_lens_resolution(N, n, weights=None, target=1, pres=None):
     if N == 1:
         return ResolutionOfIdentity(0, ((one, one),))
     a = make_named_element("a", {}, pres)
-    # alpha*P + beta*Q = D with P(a) = x^{N-1} y^{N-1} and Q(a) = y x:
+    # P + beta*Q = D with P(a) = x^{N-1} y^{N-1} and Q(a) = y x:
     #   target +1, (x, y) = (z_0, z_0*): P = prod_{s=0}^{N-2}(1 - q^{2s}a), Q = 1 - q^{-2}a;
     #   target -1, (x, y) = (z_0*, z_0): P = prod_{s=1}^{N-1}(1 - q^{-2s}a), Q = 1 - a.
     star = target == -1
@@ -394,12 +389,12 @@ def bezout_lens_resolution(N, n, weights=None, target=1, pres=None):
         consts, lin = [-QScalar.q(-2 * s) for s in range(1, N)], -_ONE
     else:
         consts, lin = [-QScalar.q(2 * s) for s in range(N - 1)], -QScalar.q(-2)
-    D, alpha, beta = _linear_cofactors(_linear_product(consts), (_ONE, lin))
+    D, beta = _linear_cofactors(_linear_product(consts), (_ONE, lin))
     inv = _ONE / D
     x1, xN = (_zpow(pres, 0, k, star) for k in (1, N - 1))
     y1, yN = (_zpow(pres, 0, k, not star) for k in (1, N - 1))
     pairs = (
-        ((_poly_at(alpha, a, pres) * xN).scale(inv), yN),
+        (xN.scale(inv), yN),
         ((_poly_at(beta, a, pres) * y1).scale(inv), x1),
     )
     # target -1 lists the Q pair first

@@ -17,10 +17,12 @@ literals (1/2) and printed Q(q) scalars ("(1 - q^2)/(q^2)").
 from __future__ import annotations
 
 import math
+import re
 from typing import NamedTuple
 
 from qwp.scalar import QScalar
 from qwp.star_algebra import (
+    W,
     AlgebraElement,
     Generator,
     InvalidGeneratorError,
@@ -146,10 +148,16 @@ def _int_of(digits):
     try:
         return int(digits)
     except ValueError:
-        if not digits.isascii():  # a non-ASCII digit such as "²", not the limit
-            raise
         k = len(digits) // 2
         return _int_of(digits[:-k]) * 10**k + _int_of(digits[-k:])
+
+
+# a run of digits; [0-9], since str.isdigit would also take "²" and "٣"
+_DIGITS = re.compile("[0-9]*")
+
+# the one-character tokens; '*' is not one, since it may glue to a generator
+_SINGLE = {"w": ("gen", W), "q": ("q", None), "(": ("lparen", None), ")": ("rparen", None)}
+_SINGLE.update((op, ("op", op)) for op in "+-/^")
 
 
 def _tokenize(text):
@@ -161,28 +169,20 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < size and text[j].isdigit():
-                j += 1
+        if "0" <= ch <= "9":
+            j = _DIGITS.match(text, i).end()
             tokens.append(_Token("int", _int_of(text[i:j]), i, j))
             i = j
             continue
         if ch == "z":
-            j = i + 1
-            while j < size and text[j].isdigit():
-                j += 1
+            j = _DIGITS.match(text, i + 1).end()
             if j == i + 1:
                 raise ParseError("generator needs an index", i, "z<digits>")
             tokens.append(_Token("gen", Generator("z", int(text[i + 1 : j])), i, j))
             i = j
             continue
-        if ch == "w":
-            tokens.append(_Token("gen", Generator("w", -1), i, i + 1))
-            i += 1
-            continue
-        if ch == "q":
-            tokens.append(_Token("q", None, i, i + 1))
+        if ch in _SINGLE:
+            tokens.append(_Token(*_SINGLE[ch], i, i + 1))
             i += 1
             continue
         if ch == "*":
@@ -196,18 +196,6 @@ def _tokenize(text):
                 tokens[-1] = _Token("gen", prev.value.star(), prev.pos, i + 1)
             else:
                 tokens.append(_Token("op", "*", i, i + 1))
-            i += 1
-            continue
-        if ch in "+-/^":
-            tokens.append(_Token("op", ch, i, i + 1))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", None, i, i + 1))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", None, i, i + 1))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)

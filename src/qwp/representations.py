@@ -26,6 +26,7 @@ from itertools import product
 
 from qwp.grading import GradingSpec, degree
 from qwp.star_algebra import (
+    ONE,
     W,
     AlgebraElement,
     AlgebraPresentation,
@@ -351,10 +352,6 @@ def _gen_shift(spec, g, n):
     return 1 if i < n else 0
 
 
-def _word_shift(spec, word, n):
-    return sum(_gen_shift(spec, g, n) for g in word)
-
-
 def _check_space(spec, space):
     if spec.family == "bar_pi" and spec.k > space.n:
         raise ValueError(f"bar_pi label k = {spec.k} exceeds n = {space.n}")
@@ -392,37 +389,46 @@ def _act(spec, rev, p, cutoff, c):
     return None if c == 0 else (c, p)
 
 
-def _accumulate_word(spec, space, word, val, entries):
-    """Add val * (operator of word) into the sparse entry dict.
-
-    The word acts rightmost letter first; intermediates that climb past
-    the cutoff are compressed to zero.  In the bar family the vectors
-    failing the admissibility chains span a null summand, so every word,
-    the empty one included, acts as zero on those columns.
-    """
-    if val == 0:
-        return
-    bar_k = spec.k if spec.family == "bar_pi" else None
-    rev = tuple(reversed(word))
-    for col, p in enumerate(space.basis):
-        if bar_k is not None and not _admissible(p, bar_k):
-            continue
-        hit = _act(spec, rev, p, space.cutoff, val)
-        if hit is None:
-            continue
-        c, vec = hit
-        row = space.index(vec)
-        if row is None:
-            continue
-        acc = entries.get((row, col), 0j) + c
-        if acc == 0:
-            entries.pop((row, col), None)
-        else:
-            entries[row, col] = acc
-
-
 # ---------------------------------------------------------------------------
 # assembly
+
+
+def _assemble(spec, space, terms):
+    """The operator of sum c * word over exact (QScalar, word) terms.
+
+    Each coefficient is evaluated at q0 once and rounded to float; a pole
+    raises PoleError.  The shift budget counts the raises of every word,
+    also of one whose coefficient rounds to 0.  A word acts rightmost
+    letter first; intermediates that climb past the cutoff are compressed
+    to zero.  In the bar family the vectors failing the admissibility
+    chains span a null summand, so every word, the empty one included,
+    acts as zero on those columns.
+    """
+    bar_k = spec.k if spec.family == "bar_pi" else None
+    entries = {}
+    shift = 0
+    for coeff, word in terms:
+        val = float(coeff.evaluate(spec.q0))
+        shift = max(shift, sum(_gen_shift(spec, g, space.n) for g in word))
+        if val == 0:
+            continue
+        rev = tuple(reversed(word))
+        for col, p in enumerate(space.basis):
+            if bar_k is not None and not _admissible(p, bar_k):
+                continue
+            hit = _act(spec, rev, p, space.cutoff, val)
+            if hit is None:
+                continue
+            c, vec = hit
+            row = space.index(vec)
+            if row is None:
+                continue
+            acc = entries.get((row, col), 0j) + c
+            if acc == 0:
+                entries.pop((row, col), None)
+            else:
+                entries[row, col] = acc
+    return TruncatedOperator(space, entries, shift)
 
 
 def rep_generator(spec, g, space):
@@ -434,9 +440,7 @@ def rep_generator(spec, g, space):
     """
     _check_space(spec, space)
     AlgebraPresentation(spec.pres_kind, space.n).check_generator(g)
-    entries = {}
-    _accumulate_word(spec, space, (g,), 1.0, entries)
-    return TruncatedOperator(space, entries, _gen_shift(spec, g, space.n))
+    return _assemble(spec, space, [(ONE, (g,))])
 
 
 def apply_element(x, spec, space):
@@ -449,14 +453,7 @@ def apply_element(x, spec, space):
     identity, because the inadmissible vectors span a null summand.
     """
     _check_presentation(x.pres, spec, space)
-    entries = {}
-    shift = 0
-    for mon, coeff in x.sorted_terms():
-        val = float(coeff.evaluate(spec.q0))
-        word = mon.word()
-        shift = max(shift, _word_shift(spec, word, space.n))
-        _accumulate_word(spec, space, word, val, entries)
-    return TruncatedOperator(space, entries, shift)
+    return _assemble(spec, space, [(c, mon.word()) for mon, c in x.sorted_terms()])
 
 
 def relation_residual(p, spec, space):
@@ -468,25 +465,13 @@ def relation_residual(p, spec, space):
     """
     _check_presentation(p, spec, space)
     per = {}
-    worst = 0.0
     empty = False
     for name, lhs, rhs in defining_relations(p):
-        entries = {}
-        shift = 0
-        for sign, terms in ((1.0, lhs), (-1.0, rhs)):
-            for coeff, word in terms:
-                val = sign * float(coeff.evaluate(spec.q0))
-                shift = max(shift, _word_shift(spec, word, space.n))
-                _accumulate_word(spec, space, word, val, entries)
-        interior = set(space.interior_indices(shift))
-        if not interior:
-            per[name] = 0.0
-            empty = True
-            continue
-        residual = max((abs(v) for (i, j), v in entries.items() if j in interior), default=0.0)
-        per[name] = residual
-        worst = max(worst, residual)
-    return {"max_residual": worst, "per_relation": per, "empty_interior": empty}
+        op = _assemble(spec, space, lhs + [(-c, w) for c, w in rhs])
+        interior = set(op.interior_columns())
+        empty = empty or not interior
+        per[name] = op.max_abs(interior)
+    return {"max_residual": max(per.values()), "per_relation": per, "empty_interior": empty}
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,13 @@ from qwp.parsing import (
     _power_bits,
     _product_bits,
     ParseError,
+    _tokenize,
     parse_expression,
     parse_scalar,
 )
 from qwp.scalar import QScalar, _coeff_str, _digits
 from qwp.star_algebra import (
+    W,
     AlgebraElement,
     AlgebraPresentation,
     InvalidGeneratorError,
@@ -107,6 +109,43 @@ def test_scalar_division_forms():
 def test_parenthesised_sums_scale():
     x = parse_expression("q * (z0 + 2 z1)", S1)
     assert x == normalize([(q, (z(0),)), (2 * q, (z(1),))], S1)
+
+
+def test_one_character_tokens():
+    assert _tokenize("w q + - / ^ ( )") == [
+        ("gen", W, 0, 1),
+        ("q", None, 2, 3),
+        ("op", "+", 4, 5),
+        ("op", "-", 6, 7),
+        ("op", "/", 8, 9),
+        ("op", "^", 10, 11),
+        ("lparen", None, 12, 13),
+        ("rparen", None, 14, 15),
+        ("end", None, 15, 15),
+    ]
+    # a star glued to a generator is its adjoint; a spaced star multiplies
+    assert _tokenize("z0* w* z1 *") == [
+        ("gen", z_star(0), 0, 3),
+        ("gen", W.star(), 4, 6),
+        ("gen", z(1), 7, 9),
+        ("op", "*", 10, 11),
+        ("end", None, 11, 11),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("z0 + 2\u00b2", 6),  # superscript two after an integer
+        ("q^\u00b2", 2),
+        ("\u0663 z0", 0),  # Arabic-Indic three
+        ("z\u00b2", 0),  # a z without ASCII digits is refused at the z
+    ],
+)
+def test_only_ascii_digits_are_read(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, S1)
+    assert err.value.position == position
 
 
 _STEP = st.tuples(st.integers(min_value=0, max_value=2), st.booleans())
@@ -257,6 +296,17 @@ def test_cube_budget_exits_one():
         assert report["error"]["type"] == "ValueError", argv
         assert "MAX_CUBE_POINTS" in report["error"]["message"], argv
         jsonschema.validate(report, report_schema("error"))
+
+
+def test_presentation_budget_exits_one():
+    # the default weights (1,) * (n + 1) must not be built for this n
+    start = time.perf_counter()
+    code, report, _ = run(["normalize", "z0", "--n", "1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and report["status"] == "error"
+    assert report["error"]["type"] == "ValueError"
+    assert "MAX_PRESENTATION_N" in report["error"]["message"]
+    jsonschema.validate(report, report_schema("error"))
 
 
 def test_certify_lens_pairs_reverify():

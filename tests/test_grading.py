@@ -310,9 +310,9 @@ def _bezout_identities(N):
 
 
 def _bezout_cofactors(p, lin):
-    """The cofactors c/D and f/D with (c/D)*p + (f/D)*lin = 1."""
-    D, c, f = _linear_cofactors(p, lin)
-    return tuple(v / D for v in c), tuple(v / D for v in f)
+    """The cofactors 1/D and f/D with (1/D)*p + (f/D)*lin = 1."""
+    D, f = _linear_cofactors(p, lin)
+    return (one / D,), tuple(v / D for v in f)
 
 
 def _to_sympy(c, qs):
@@ -342,10 +342,10 @@ def test_bezout_coefficients_match_sympy_gcdex():
 def test_bezout_identity_exact_and_denominators_vanish_at_1():
     for N in (2, 3, 4, 5):
         for p, lin in _bezout_identities(N):
-            D, c_raw, f_raw = _linear_cofactors(p, lin)
-            assert _padd(_pmul(c_raw, p), _pmul(f_raw, lin)) == (D,)
+            D, f_raw = _linear_cofactors(p, lin)
+            assert _padd(p, _pmul(f_raw, lin)) == (D,)
             # Laurent polynomials: no denominator other than a power of q
-            assert not any(any(v.den[:-1]) for v in (D,) + c_raw + f_raw)
+            assert not any(any(v.den[:-1]) for v in (D,) + f_raw)
             c, f = _bezout_cofactors(p, lin)
             total = [QScalar.zero()] * max(len(c) + len(p), len(f) + len(lin))
             for i, v in enumerate(_pmul(c, p)):

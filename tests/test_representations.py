@@ -278,6 +278,31 @@ def test_generator_and_space_validation():
         rep_generator(RepSpec("bar_pi", HALF, k=4), z(0), sp)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generator_shift_budgets(n):
+    """Only a raising z_i* moves a vector up: i < n, or i < k in the bar family."""
+    sp = TruncatedSpace(n, 3)
+    zs = [z(i) for i in range(n + 1)] + [z_star(i) for i in range(n + 1)]
+    families = [
+        (RepSpec("sphere_pi", HALF), zs, n),
+        (RepSpec("sigma_pi", HALF), zs + [W, W.star()], n),
+    ] + [(RepSpec("bar_pi", HALF, k=k), zs, k) for k in range(n + 1)]
+    for spec, gens, top in families:
+        for g in gens:
+            expected = 1 if g.kind == "z*" and g.index < top else 0
+            assert rep_generator(spec, g, sp).shift == expected, (spec, g)
+
+
+def test_zero_coefficient_term_keeps_its_shift():
+    # (1 - 2q) vanishes at q0 = 1/2: its term adds no entry but still three raises
+    x = parse_expression("(1 - 2q) z0*^3 + z0", S1)
+    sp = TruncatedSpace(1, 6)
+    spec = RepSpec("sphere_pi", HALF)
+    op = apply_element(x, spec, sp)
+    assert op.shift == 3
+    assert op.entries == apply_element(normalize((z(0),), S1), spec, sp).entries
+
+
 # -- generator matrices: sigma family ----------------------------------------
 
 

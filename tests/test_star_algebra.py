@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qwp import star_algebra
 from qwp.scalar import QScalar
 from qwp.star_algebra import (
+    MAX_PRESENTATION_N,
     AlgebraElement,
     AlgebraPresentation,
     Generator,
@@ -53,6 +54,14 @@ def gens_for(pres):
 def random_word(pres, rng, max_len=8):
     alphabet = gens_for(pres)
     return tuple(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
+
+
+def test_presentation_size_budget():
+    assert MAX_PRESENTATION_N == 100
+    for kind in ("sphere", "sigma"):
+        assert AlgebraPresentation(kind, MAX_PRESENTATION_N).n == MAX_PRESENTATION_N
+        with pytest.raises(ValueError, match="MAX_PRESENTATION_N"):
+            AlgebraPresentation(kind, MAX_PRESENTATION_N + 1)
 
 
 # -- relation examples -----------------------------------------------------------
@@ -335,6 +344,41 @@ def test_named_parameter_errors():
 def test_named_d_sigma():
     el = make_named_element("d", {"p": (2, 0), "m": 1}, SIG2)
     assert el.terms == {Monomial((2, 0, 0), (0, 0, 0), 1): QScalar.one()}
+
+
+def test_named_exponent_families_build_their_monomials():
+    cases = [
+        ("c", {"l": (1, 2), "m": 3}, S2, Monomial((1, 2, 0), (0, 0, 1), 0)),
+        ("c_tilde", {"l": (1, 2), "m": 3}, S2, Monomial((1, 2, 0), (0, 0, 0), 0)),
+        ("d", {"p": (1, 1), "m": 1}, SIG2, Monomial((1, 1, 0), (0, 0, 0), 1)),
+        # in sigma z_n* is w z_n
+        ("c", {"l": (0, 1), "m": 1}, SIG2, Monomial((0, 1, 1), (0, 0, 0), 1)),
+    ]
+    for name, params, pres, mon in cases:
+        assert make_named_element(name, params, pres).terms == {mon: QScalar.one()}
+
+
+@pytest.mark.parametrize(
+    "name, params, pres, message",
+    [
+        ("c", {"l": (1,), "m": 1}, S2, "c exponent vector must have length n = 2"),
+        ("c", {"l": (2, -1), "m": 1}, S2, "c exponents must be nonnegative"),
+        ("c", {"l": (1, 0), "m": 3}, S2, "sum(l) = 1 must equal m = 3"),
+        ("c_tilde", {"l": (1, 0, 0), "m": 1}, S2, "c exponent vector must have length n = 2"),
+        ("c_tilde", {"l": (-1, 2), "m": 1}, S2, "c exponents must be nonnegative"),
+        ("c_tilde", {"l": (1, 1), "m": 1}, SIG2, "sum(l) = 2 must equal m = 1"),
+        ("d", {"p": (2, 0), "m": 1}, S2, "d elements live in sigma presentations"),
+        # outside sigma d is refused before its vector is checked
+        ("d", {"p": (1,), "m": 5}, S2, "d elements live in sigma presentations"),
+        ("d", {"p": (2,), "m": 1}, SIG2, "d exponent vector must have length n = 2"),
+        ("d", {"p": (3, -1), "m": 1}, SIG2, "d exponents must be nonnegative"),
+        ("d", {"p": (1, 0), "m": 1}, SIG2, "sum(p) = 1 must equal 2m = 2"),
+    ],
+)
+def test_named_exponent_family_messages(name, params, pres, message):
+    with pytest.raises(ParameterError) as err:
+        make_named_element(name, params, pres)
+    assert str(err.value) == message
 
 
 def test_diagonal_elements_commute():
