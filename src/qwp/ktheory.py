@@ -34,6 +34,12 @@ from dataclasses import dataclass
 # second, while (2; 1,...,1) takes about 30 s.
 MAX_LENS_SIZE = 1000
 
+# The teardrop sequences build delta with m rows, and the real one also
+# eliminates the n x n binomial matrix in about n^3 steps, so both refuse
+# n^3 + m above this before building either.  At the budget every n, m
+# takes under half a second; real-teardrop 1 10^6 took 7.5 s and 595 MB.
+MAX_TEARDROP_SIZE = 10**5
+
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -653,16 +659,26 @@ def six_term_k_groups(inp):
     return {"K1": k1, "coker_delta": coker, "K0_candidates": candidates}
 
 
+def _check_teardrop_size(n, m):
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be positive integers")
+    if n**3 + m > MAX_TEARDROP_SIZE:
+        raise ValueError(
+            f"teardrop size n^3 + m = {n**3 + m} exceeds the budget "
+            f"MAX_TEARDROP_SIZE = {MAX_TEARDROP_SIZE}"
+        )
+
+
 def teardrop_k_groups(n, m):
     """K-groups of the complex teardrop quotient: K_0 = Z^{m+n}, K_1 = 0.
 
     The defining sequence has a rank-m free ideal contribution (m copies
     of the compacts) and the rank-n free projective-space quotient, with
     both odd groups zero; the connecting map is forced to vanish and the
-    free extension splits as Z^m + Z^n.
+    free extension splits as Z^m + Z^n.  Sizes n^3 + m above
+    MAX_TEARDROP_SIZE are refused with a ValueError before delta is built.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive integers")
+    _check_teardrop_size(n, m)
     inp = SixTermInput(
         ideal_k0=FGAbelianGroup(m),
         ideal_k1=FGAbelianGroup(0),
@@ -688,10 +704,10 @@ def real_teardrop_k(n, m):
     Z^{m-1} + Z_2, so K_1 = 0.  The resulting extension does not pin
     down K_0; every candidate is returned and none is selected.  For
     n = 1 the quotient K_0 is free, the sequence splits, and the single
-    candidate Z^m + Z_2 is exact.
+    candidate Z^m + Z_2 is exact.  Sizes n^3 + m above MAX_TEARDROP_SIZE
+    are refused with a ValueError before either matrix is built.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive integers")
+    _check_teardrop_size(n, m)
     r = determinantal_invariants(gysin_matrix(n, m))["r"]
     inp = SixTermInput(
         ideal_k0=FGAbelianGroup(m),

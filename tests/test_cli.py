@@ -284,6 +284,18 @@ def test_lens_size_budget_exits_one(monkeypatch):
     assert code == 1 and report["error"]["type"] == "PhiBuilt"
 
 
+def test_teardrop_size_budget_exits_one():
+    for kind in ("teardrop", "real-teardrop"):
+        argv = ["ktheory", kind, "1", "1000000"]
+        start = time.perf_counter()
+        code, report, _ = run(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 1 and report["status"] == "error", argv
+        assert report["error"]["type"] == "ValueError", argv
+        assert "MAX_TEARDROP_SIZE" in report["error"]["message"], argv
+        jsonschema.validate(report, report_schema("error"))
+
+
 def test_cube_budget_exits_one():
     for argv in (
         ["rep", "verify", "--family", "sphere", "--n", "3", "--q0", "1/2", "--cutoff", "1000"],

@@ -17,6 +17,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from qwp.ktheory import (
     FGAbelianGroup,
+    MAX_TEARDROP_SIZE,
     IntMatrix,
     LensDescriptor,
     SixTermInput,
@@ -570,6 +571,27 @@ def test_teardrop_validation():
         teardrop_k_groups(0, 1)
     with pytest.raises(ValueError):
         teardrop_k_groups(1, 0)
+
+
+def test_teardrop_size_budget(monkeypatch):
+    def nothing_built(*args, **kwargs):
+        # the budget must be checked before a matrix or a sequence is built
+        raise AssertionError("built a teardrop matrix")
+
+    for name in ("gysin_matrix", "SixTermInput", "IntMatrix"):
+        monkeypatch.setattr(f"qwp.ktheory.{name}", nothing_built)
+    edge = 46  # the largest n with n^3 within the budget
+    assert edge**3 < MAX_TEARDROP_SIZE < (edge + 1) ** 3
+    over = ((1, 10**6), (edge + 1, 1), (edge, MAX_TEARDROP_SIZE - edge**3 + 1), (10**9, 10**9))
+    for n, m in over:
+        for build in (teardrop_k_groups, real_teardrop_k):
+            with pytest.raises(ValueError, match="MAX_TEARDROP_SIZE"):
+                build(n, m)
+    monkeypatch.undo()
+    # sizes n^3 + m of exactly MAX_TEARDROP_SIZE pass
+    assert teardrop_k_groups(1, MAX_TEARDROP_SIZE - 1)["K0"] == FGAbelianGroup(MAX_TEARDROP_SIZE)
+    out = real_teardrop_k(edge, MAX_TEARDROP_SIZE - edge**3)
+    assert out["K1"] == ZERO
 
 
 # -- real teardrop candidates -----------------------------------------------------------
