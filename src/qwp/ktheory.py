@@ -37,7 +37,8 @@ MAX_LENS_SIZE = 1000
 # The teardrop sequences build delta with m rows, and the real one also
 # eliminates the n x n binomial matrix in about n^3 steps, so both refuse
 # n^3 + m above this before building either.  At the budget every n, m
-# takes under half a second; real-teardrop 1 10^6 took 7.5 s and 595 MB.
+# took under half a second on 2 cores (Python 3.11.7), where real-teardrop
+# 1 10^6 had taken 7.5 s and 595 MB.
 MAX_TEARDROP_SIZE = 10**5
 
 
