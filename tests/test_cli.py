@@ -608,6 +608,14 @@ def test_recorded_certify_reports():
         assert run_streams(entry["argv"]) == recorded, entry["argv"]
 
 
+def test_recorded_rep_reports():
+    # the floats in these reports pin the representation arithmetic bit for bit
+    corpus = json.loads((Path(__file__).parent / "data" / "rep_reports.json").read_text())
+    for entry in corpus["entries"]:
+        recorded = (entry["code"], entry["stdout"], entry["stderr"])
+        assert run_streams(entry["argv"]) == recorded, entry["argv"]
+
+
 def test_error_reports_name_the_full_command():
     # recorded when a diagnostic named only the group ("ktheory" for ktheory lens);
     # now it names the command as the ok report does, and no other byte moves

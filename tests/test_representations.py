@@ -18,6 +18,7 @@ from qwp.star_algebra import (
     W,
     AlgebraElement,
     AlgebraPresentation,
+    Generator,
     InvalidGeneratorError,
     adjoint,
     make_named_element,
@@ -753,6 +754,14 @@ def _recorded_pres(entry):
     return AlgebraPresentation(kind, entry["n"])
 
 
+def _coo_digest(op):
+    return hashlib.sha256(json.dumps(op.to_coo()).encode()).hexdigest()
+
+
+def _sector_summary(info):
+    return {"off_sector_entries": info["off_sector_entries"], "max_off_sector": repr(info["max_off_sector"])}
+
+
 def test_recorded_representation_corpus():
     corpus = json.loads((Path(__file__).parent / "data" / "representations.json").read_text())
     for e in corpus["residuals"]:
@@ -769,6 +778,15 @@ def test_recorded_representation_corpus():
         space = TruncatedSpace(e["n"], e["cutoff"], sector)
         x = parse_expression(e["element"], _recorded_pres(e))
         op = apply_element(x, _recorded_spec(e), space)
-        digest = hashlib.sha256(json.dumps(op.to_coo()).encode()).hexdigest()
-        got = (len(op.entries), digest)
+        got = (len(op.entries), _coo_digest(op))
         assert got == (e["nonzeros"], e["sha256"]), f"operator differs for {e}"
+    for e in corpus["generators"]:
+        space = TruncatedSpace(e["n"], e["cutoff"])
+        op = rep_generator(_recorded_spec(e), Generator(*e["letter"]), space)
+        got = (op.shift, len(op.entries), _coo_digest(op))
+        assert got == (e["shift"], e["nonzeros"], e["sha256"]), f"generator differs for {e}"
+    for e in corpus["sectors"]:
+        out = sector_split_check(_recorded_spec(e), e["m"], TruncatedSpace(e["n"], e["cutoff"]))
+        summary = {label: _sector_summary(info) for label, info in out["generators"].items()}
+        assert summary == e["generators"], f"sector summaries differ for {e}"
+        assert _sector_summary(out["control_z0"]) == e["control_z0"], f"control differs for {e}"
