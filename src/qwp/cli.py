@@ -47,7 +47,7 @@ from qwp.representations import (
     relation_residual,
     sector_split_check,
 )
-from qwp.star_algebra import MAX_PRESENTATION_N, AlgebraPresentation
+from qwp.star_algebra import MAX_PRESENTATION_N, AlgebraPresentation, unresolved_overlaps
 from qwp.suite import SUITE_CHECKS
 
 
@@ -476,6 +476,20 @@ def _cmd_rep_fredholm(args, config, q0):
     return report, 0
 
 
+def _cmd_overlaps(args, config, q0):
+    checked, unresolved = unresolved_overlaps(AlgebraPresentation(args.space, args.n))
+    report = {
+        "command": "overlaps",
+        "status": "fail" if unresolved else "ok",
+        "space": args.space,
+        "n": args.n,
+        "checked": checked,
+        "confluent": not unresolved,
+        "unresolved": [[str(g) for g in triple] for triple in unresolved],
+    }
+    return report, 1 if unresolved else 0
+
+
 def _cmd_suite(args, config, q0):
     table = dict(SUITE_CHECKS)
     selected = [part.strip() for part in args.select.split(",")] if args.select else list(table)
@@ -598,6 +612,14 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     _add_config_options(p)
     p.set_defaults(handler=_cmd_rep_fredholm)
+
+    p = sub.add_parser(
+        "overlaps", help="check that every overlap of the rewriting rules resolves"
+    )
+    p.add_argument("--space", choices=("sphere", "sigma"), default="sphere")
+    p.add_argument("--n", type=int, required=True)
+    _add_config_options(p)
+    p.set_defaults(handler=_cmd_overlaps)
 
     p = sub.add_parser("suite", help="run the full verification battery")
     p.add_argument("--select", help="comma-separated subset of checks to run")

@@ -41,9 +41,10 @@ _FAMILIES = ("sphere_pi", "bar_pi", "sigma_pi")
 # Point budget of a truncated cube {0..cutoff}^n.  The largest recorded
 # input is the suite's trace check at n = 3, cutoff 60 (226,981 points).
 # At the budget (cutoff 262143, 511 and 63 for n = 1, 2, 3) at q0 = 1/2,
-# `rep verify --family sphere` takes about 12, 48 and 92 s with a peak of
-# about 150 MB, and `rep fredholm "z0 z0*" --m 1` about 3 s (2 cores,
-# Python 3.11).
+# `rep verify --family sphere` takes about 5, 12 and 22 s with peaks of
+# 202, 284 and 306 MB (the walk tables hold a successor and a weight per
+# cube point and letter), and `rep fredholm "z0 z0*" --m 1` about 3 s
+# with peaks of 28 MB (n = 1) and 18 MB (n = 3) (2 cores, Python 3.11).
 MAX_CUBE_POINTS = 2**18
 
 
@@ -393,42 +394,118 @@ def _act(spec, rev, p, cutoff, c):
 # assembly
 
 
-def _assemble(spec, space, terms):
+class _WalkTables:
+    """Per-letter walk tables over the live vectors of one (spec, space).
+
+    The live vectors are the whole cube {0..cutoff}^n, or in the bar family
+    its admissible vectors: every letter maps an admissible vector to an
+    admissible one or kills it (see _bar_action).  For each letter g in use,
+    nxt[i] is the live index of g |live[i]>, or -1 when g kills the vector
+    or lifts it past the cutoff, and wt[i] is the coefficient; both come
+    from _single_action.  rows maps a live index to the space's row (None
+    off a sector), and cols/firsts pair each start column with its live
+    index.  A table set serves the words of one call and is then dropped,
+    so nothing carries over from one call to the next.
+    """
+
+    def __init__(self, spec, space):
+        self.spec = spec
+        self.space = space
+        bar_k = spec.k if spec.family == "bar_pi" else None
+        if bar_k is None and space.sector is None:
+            self.index = space._index
+            self.live = space.basis
+            self.rows = self.cols = self.firsts = range(space.dim)
+        else:
+            cube = product(range(space.cutoff + 1), repeat=space.n)
+            self.live = tuple(p for p in cube if bar_k is None or _admissible(p, bar_k))
+            self.index = {p: i for i, p in enumerate(self.live)}
+            self.rows = [space._index.get(p) for p in self.live]
+            starts = [(col, self.index[p]) for col, p in enumerate(space.basis) if p in self.index]
+            self.cols = [col for col, _ in starts]
+            self.firsts = [i for _, i in starts]
+        self._tables = {}
+        self._interiors = {}
+        self._values = {}
+
+    def value(self, coeff):
+        """A QScalar evaluated at q0 and rounded to float, once per scope."""
+        if coeff not in self._values:
+            self._values[coeff] = float(coeff.evaluate(self.spec.q0))
+        return self._values[coeff]
+
+    def table(self, g):
+        """(nxt, wt) of one letter, built on first use."""
+        if g not in self._tables:
+            spec, cutoff, index = self.spec, self.space.cutoff, self.index
+            nxt, wt = [], []
+            for p in self.live:
+                hit = _single_action(spec, g, p)
+                j = -1 if hit is None else index.get(hit[1], -1)
+                if j < 0 and hit is not None and max(hit[1]) <= cutoff:
+                    raise AssertionError(f"{g} maps the live vector {p} off the live vectors")
+                nxt.append(j)
+                wt.append(None if j < 0 else hit[0])
+            self._tables[g] = (nxt, wt)
+        return self._tables[g]
+
+    def interior(self, shift):
+        """The set of interior columns for a shift budget, built on first use."""
+        if shift not in self._interiors:
+            self._interiors[shift] = set(self.space.interior_indices(shift))
+        return self._interiors[shift]
+
+
+def _assemble(walk, terms):
     """The operator of sum c * word over exact (QScalar, word) terms.
 
     Each coefficient is evaluated at q0 once and rounded to float; a pole
     raises PoleError.  The shift budget counts the raises of every word,
     also of one whose coefficient rounds to 0.  A word acts rightmost
-    letter first; intermediates that climb past the cutoff are compressed
-    to zero.  In the bar family the vectors failing the admissibility
-    chains span a null summand, so every word, the empty one included,
+    letter first, through the walk tables: from a start column's live
+    index i each letter steps j = nxt[i], multiplies c by wt[i] and moves
+    to i = j, which is _act's order of multiplication, so every float is
+    the same.  An intermediate that climbs past the cutoff is compressed
+    to zero (nxt is -1), and so is a final coefficient of 0.  In the bar
+    family the vectors failing the admissibility chains span a null
+    summand: they are not live, so every word, the empty one included,
     acts as zero on those columns.
     """
-    bar_k = spec.k if spec.family == "bar_pi" else None
+    spec, space = walk.spec, walk.space
+    rows = walk.rows
     entries = {}
+    get, pop = entries.get, entries.pop
     shift = 0
     for coeff, word in terms:
-        val = float(coeff.evaluate(spec.q0))
+        val = walk.value(coeff)
         shift = max(shift, sum(_gen_shift(spec, g, space.n) for g in word))
         if val == 0:
             continue
-        rev = tuple(reversed(word))
-        for col, p in enumerate(space.basis):
-            if bar_k is not None and not _admissible(p, bar_k):
-                continue
-            hit = _act(spec, rev, p, space.cutoff, val)
-            if hit is None:
-                continue
-            c, vec = hit
-            row = space.index(vec)
-            if row is None:
-                continue
-            acc = entries.get((row, col), 0j) + c
-            if acc == 0:
-                entries.pop((row, col), None)
+        steps = [walk.table(g) for g in reversed(word)]
+        for col, i in zip(walk.cols, walk.firsts):
+            c = val
+            for nxt, wt in steps:
+                j = nxt[i]
+                if j < 0:
+                    break
+                c *= wt[i]
+                i = j
             else:
-                entries[row, col] = acc
+                row = rows[i]
+                if c == 0 or row is None:
+                    continue
+                key = (row, col)
+                acc = get(key, 0j) + c
+                if acc == 0:
+                    pop(key, None)
+                else:
+                    entries[key] = acc
     return TruncatedOperator(space, entries, shift)
+
+
+def _element_terms(x):
+    """The (coefficient, word) terms of an element, in sorted order."""
+    return [(c, mon.word()) for mon, c in x.sorted_terms()]
 
 
 def rep_generator(spec, g, space):
@@ -440,7 +517,7 @@ def rep_generator(spec, g, space):
     """
     _check_space(spec, space)
     AlgebraPresentation(spec.pres_kind, space.n).check_generator(g)
-    return _assemble(spec, space, [(ONE, (g,))])
+    return _assemble(_WalkTables(spec, space), [(ONE, (g,))])
 
 
 def apply_element(x, spec, space):
@@ -453,7 +530,7 @@ def apply_element(x, spec, space):
     identity, because the inadmissible vectors span a null summand.
     """
     _check_presentation(x.pres, spec, space)
-    return _assemble(spec, space, [(c, mon.word()) for mon, c in x.sorted_terms()])
+    return _assemble(_WalkTables(spec, space), _element_terms(x))
 
 
 def relation_residual(p, spec, space):
@@ -464,11 +541,12 @@ def relation_residual(p, spec, space):
     with an empty interior contributes 0 and raises the empty flag.
     """
     _check_presentation(p, spec, space)
+    walk = _WalkTables(spec, space)
     per = {}
     empty = False
     for name, lhs, rhs in defining_relations(p):
-        op = _assemble(spec, space, lhs + [(-c, w) for c, w in rhs])
-        interior = set(op.interior_columns())
+        op = _assemble(walk, lhs + [(-c, w) for c, w in rhs])
+        interior = walk.interior(op.shift)
         empty = empty or not interior
         per[name] = op.max_abs(interior)
     return {"max_residual": max(per.values()), "per_relation": per, "empty_interior": empty}
@@ -532,9 +610,10 @@ def sector_split_check(spec, m, space):
         items.append(("w", normalize(W, pres)))
     items += [(label, el) for _, label, el in _subalgebra_generators(pres, m)]
     sums = tuple(sum(k) for k in space.basis)
+    walk = _WalkTables(spec, space)
 
     def summary(el):
-        op = apply_element(el, spec, space)
+        op = _assemble(walk, _element_terms(el))
         off = [abs(v) for (r, c), v in op.entries.items() if (sums[r] - sums[c]) % m]
         return {
             "off_sector_entries": len(off),

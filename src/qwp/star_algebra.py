@@ -471,8 +471,9 @@ def unresolved_overlaps(pres):
     overlaps: letter triples with g1 g2 and g2 g3 both redexes.  The system
     terminates, so by Bergman's diamond lemma it is confluent exactly when
     each overlap resolves, that is when rewriting g1 g2 first and g2 g3
-    first reach the same normal form.  Returns the triples where they
-    differ; an empty list proves confluence.
+    first reach the same normal form.  Returns the number of overlaps
+    checked and the triples where they differ; an empty list proves
+    confluence.
     """
     table, width, codes = _compiled(pres)
     letters = sorted(codes, key=codes.get)
@@ -485,12 +486,14 @@ def unresolved_overlaps(pres):
         # a rule's w exponent ds is 0 or -1
         return [(_t_scalar(r, k), decode(w) + (W_STAR,) * -s) for k, r, w, s in branches]
 
+    checked = 0
     unresolved = []
     for word in product(range(width), repeat=3):
         if table[word[0] * width + word[1]] and table[word[1] * width + word[2]]:
+            checked += 1
             if _rewrite(pres, one_step(word, 0)) != _rewrite(pres, one_step(word, 1)):
                 unresolved.append(decode(word))
-    return unresolved
+    return checked, unresolved
 
 
 class AlgebraElement:

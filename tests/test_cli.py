@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwp import grading, ktheory
+from qwp import grading, ktheory, star_algebra
 from qwp.cli import (
     RunConfig,
     SpaceDescriptor,
@@ -571,6 +571,8 @@ def reuse_argvs(tmp):
         ["rep", "sectors", "--family", "sigma", "--n", "1", "--m", "2", "--q0", "1/2",
          "--cutoff", "5", "--lam", "1/4", "--sign", "-1"],
         ["rep", "fredholm", "z0 z0*", "--n", "1", "--m", "1", "--q0", "1/2", "--cutoff", "4"],
+        ["overlaps", "--space", "sigma", "--n", "2"],
+        ["overlaps", "--n", "0"],
         ["suite", "--select", "teardrop-k-groups,k0-alternatives", "--seed", "7"],
         ["suite", "--select", "bogus"],
         ["grading"],
@@ -679,6 +681,7 @@ def test_output_file_matches_stdout(tmp_path):
           "--q0", "1/2", "--cutoff", "4"], "rep sectors"),
         (["rep", "fredholm", "z0 z0*", "--n", "1", "--m", "1",
           "--q0", "1/2", "--cutoff", "4"], "rep fredholm"),
+        (["overlaps", "--space", "sigma", "--n", "3"], "overlaps"),
         (["suite", "--select", "teardrop-k-groups,k0-alternatives"], "suite"),
         (["grading", "degree", "z0 z0 + z0 z1", "--space", "wp", "--weights", "1,2"],
          "grading degree"),
@@ -698,6 +701,31 @@ def test_sectors_command_control():
     assert code == 0 and report["all_invariant"] is True
     assert report["control_z0"]["invariant"] is False
     assert all(c["max_residual"] == 0.0 for c in report["checks"])
+
+
+def test_overlaps_command_proves_confluence():
+    for space in ("sphere", "sigma"):
+        code, report, _ = run(["overlaps", "--space", space, "--n", "3"])
+        assert code == 0 and report["status"] == "ok", space
+        assert report["confluent"] is True and report["unresolved"] == []
+        checked, _ = star_algebra.unresolved_overlaps(AlgebraPresentation(space, 3))
+        assert report["checked"] == checked > 0
+
+
+def test_overlaps_command_exits_one_on_an_unresolved_overlap(monkeypatch):
+    # drop the last correction term of z_1* z_1 in sphere(3): a wrong right-hand side
+    rules = star_algebra._rules(AlgebraPresentation.sphere(3))
+    broken = {**rules, (z_star(1), z(1)): rules[z_star(1), z(1)][:-1]}
+    monkeypatch.setattr(star_algebra, "_rules", lambda pres: broken)
+    star_algebra._compiled.cache_clear()
+    try:
+        code, report, _ = run(["overlaps", "--n", "3"])
+    finally:
+        star_algebra._compiled.cache_clear()
+    assert code == 1 and report["status"] == "fail" and report["confluent"] is False
+    assert report["unresolved"] and all(len(triple) == 3 for triple in report["unresolved"])
+    assert all(isinstance(letter, str) for triple in report["unresolved"] for letter in triple)
+    jsonschema.validate(report, report_schema("overlaps"))
 
 
 # -- module entry point -----------------------------------------------------------

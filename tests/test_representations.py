@@ -9,13 +9,14 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwp.parsing import parse_expression
 from qwp.scalar import PoleError, QScalar
 from qwp.star_algebra import (
     W,
+    W_STAR,
     AlgebraElement,
     AlgebraPresentation,
     Generator,
@@ -26,13 +27,17 @@ from qwp.star_algebra import (
     z,
     z_star,
 )
+import qwp.representations as representations
 from qwp.representations import (
     MAX_CUBE_POINTS,
     FredholmModule,
     RepSpec,
     TruncatedOperator,
     TruncatedSpace,
+    _act,
     _admissible,
+    _assemble,
+    _WalkTables,
     apply_element,
     eigenvalue_distinctness,
     fredholm_trace,
@@ -453,6 +458,90 @@ def test_products_multiply_on_interior(code1, code2):
     # for q^-12 at 1/2, where one ulp is 9.1e-13); the bound scales with it
     size = max([1.0] + [abs(float(c.evaluate(spec.q0))) for c in xy.terms.values()])
     assert (combined - factored).max_abs(columns=interior) <= TOL * size
+
+
+# -- walk tables against the letter-by-letter action --------------------------
+
+
+@st.composite
+def _walk_cases(draw):
+    """A family, space and word of at most 6 letters, with a coefficient."""
+    family = draw(st.sampled_from(["sphere_pi", "sigma_pi", "bar_pi"]))
+    n = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(0, 5 if n < 3 else 3))
+    m = draw(st.integers(1, 3))
+    sector = draw(st.none() | st.integers(0, m - 1).map(lambda s: (s, m)))
+    q0 = draw(st.sampled_from([Fraction(1, 4), HALF, Fraction(3, 4)]))
+    if family == "bar_pi":
+        spec = RepSpec(family, q0, k=draw(st.integers(0, n)))
+    elif family == "sigma_pi":
+        spec = RepSpec(family, q0, lam=(2, 5), sign=draw(st.sampled_from([1, -1])))
+    else:
+        spec = RepSpec(family, q0, lam=(3, 7))
+    letters = [z(i) for i in range(n + 1)] + [z_star(i) for i in range(n + 1)]
+    if family == "sigma_pi":
+        letters += [W, W_STAR]
+    word = tuple(draw(st.lists(st.sampled_from(letters), max_size=6)))
+    coeff = draw(st.sampled_from([QScalar(1), QScalar.q(), QScalar(-3)]))
+    return spec, TruncatedSpace(n, cutoff, sector), word, coeff
+
+
+def _letter_by_letter(spec, space, word, val):
+    """The entries of val * word assembled through _act, one column at a time."""
+    want = {}
+    rev = tuple(reversed(word))
+    for col, p in enumerate(space.basis):
+        if spec.family == "bar_pi" and not _admissible(p, spec.k):
+            continue
+        hit = _act(spec, rev, p, space.cutoff, val)
+        if hit is not None and space.index(hit[1]) is not None:
+            want[space.index(hit[1]), col] = 0j + hit[0]
+    return want
+
+
+_SPHERE1 = RepSpec("sphere_pi", HALF)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walk_cases())
+# z0* z0* from |0>, |1> and |2> climbs past cutoff 1; z1 z0 dies at the bottom of the ladder
+@example((_SPHERE1, TruncatedSpace(1, 1), (z_star(0), z_star(0)), QScalar(1)))
+@example((_SPHERE1, TruncatedSpace(1, 3), (z(1), z(0)), QScalar(1)))
+@example((RepSpec("bar_pi", HALF, k=2), TruncatedSpace(2, 2), (z_star(0), z(1)), QScalar.q()))
+def test_walk_tables_match_letter_by_letter_action(case):
+    spec, space, word, coeff = case
+    op = _assemble(_WalkTables(spec, space), [(coeff, word)])
+    want = _letter_by_letter(spec, space, word, float(coeff.evaluate(spec.q0)))
+    assert op.entries == want
+    # the same floats bit for bit, zero signs included, in the same order
+    assert repr(list(op.entries.items())) == repr(list(want.items()))
+
+
+def test_walk_tables_drop_climbs_and_bottom_deaths():
+    spec, space = _SPHERE1, TruncatedSpace(1, 1)
+    climbed = _assemble(_WalkTables(spec, space), [(QScalar(1), (z_star(0), z_star(0)))])
+    assert climbed.entries == {}
+    bottom = _assemble(_WalkTables(spec, TruncatedSpace(1, 3)), [(QScalar(1), (z(0),))])
+    assert {col for _, col in bottom.entries} == {1, 2, 3}
+
+
+def test_walk_tables_live_only_for_one_call(monkeypatch):
+    calls = []
+    single = representations._single_action
+
+    def counting(spec, g, p):
+        calls.append(g)
+        return single(spec, g, p)
+
+    monkeypatch.setattr(representations, "_single_action", counting)
+    args = (S2, RepSpec("sphere_pi", HALF, lam=(3, 7)), TruncatedSpace(2, 4))
+    first = relation_residual(*args)
+    made = len(calls)
+    assert made > 0
+    second = relation_residual(*args)
+    # the second call builds every table again: nothing is kept between calls
+    assert len(calls) == 2 * made
+    assert first == second
 
 
 # -- relation residuals ------------------------------------------------------
