@@ -484,7 +484,6 @@ def _cmd_overlaps(args, config, q0):
         "space": args.space,
         "n": args.n,
         "checked": checked,
-        "confluent": not unresolved,
         "unresolved": [[str(g) for g in triple] for triple in unresolved],
     }
     return report, 1 if unresolved else 0

@@ -385,7 +385,7 @@ def _act(spec, rev, p, cutoff, c):
             return None
         c *= hit[0]
         p = hit[1]
-        if any(e > cutoff for e in p):
+        if max(p) > cutoff:
             return None
     return None if c == 0 else (c, p)
 

@@ -707,7 +707,7 @@ def test_overlaps_command_proves_confluence():
     for space in ("sphere", "sigma"):
         code, report, _ = run(["overlaps", "--space", space, "--n", "3"])
         assert code == 0 and report["status"] == "ok", space
-        assert report["confluent"] is True and report["unresolved"] == []
+        assert report["unresolved"] == []
         checked, _ = star_algebra.unresolved_overlaps(AlgebraPresentation(space, 3))
         assert report["checked"] == checked > 0
 
@@ -722,7 +722,7 @@ def test_overlaps_command_exits_one_on_an_unresolved_overlap(monkeypatch):
         code, report, _ = run(["overlaps", "--n", "3"])
     finally:
         star_algebra._compiled.cache_clear()
-    assert code == 1 and report["status"] == "fail" and report["confluent"] is False
+    assert code == 1 and report["status"] == "fail"
     assert report["unresolved"] and all(len(triple) == 3 for triple in report["unresolved"])
     assert all(isinstance(letter, str) for triple in report["unresolved"] for letter in triple)
     jsonschema.validate(report, report_schema("overlaps"))
