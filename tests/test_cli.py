@@ -681,10 +681,10 @@ def test_output_file_matches_stdout(tmp_path):
           "--q0", "1/2", "--cutoff", "4"], "rep sectors"),
         (["rep", "fredholm", "z0 z0*", "--n", "1", "--m", "1",
           "--q0", "1/2", "--cutoff", "4"], "rep fredholm"),
-        (["overlaps", "--space", "sigma", "--n", "3"], "overlaps"),
         (["suite", "--select", "teardrop-k-groups,k0-alternatives"], "suite"),
         (["grading", "degree", "z0 z0 + z0 z1", "--space", "wp", "--weights", "1,2"],
          "grading degree"),
+        (["overlaps", "--space", "sigma", "--n", "3"], "overlaps"),
     ],
 )
 def test_reports_validate_against_schemas(argv, command):
