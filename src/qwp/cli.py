@@ -91,8 +91,8 @@ class SpaceDescriptor:
                 raise UsageError("lens kinds need a modulus N >= 1")
         elif self.modulus is not None:
             raise UsageError(f"kind {self.kind!r} does not take a modulus")
-        if self.q0 is not None and not (0 < self.q0 < 1):
-            raise UsageError("q0 must lie strictly between 0 and 1")
+        if self.q0 is not None:
+            _require_q0(self.q0)
 
     @property
     def presentation(self):
@@ -228,8 +228,11 @@ def _resolve_space(args, q0):
 
 
 def _require_q0(q0):
+    """q0 itself, once it is given and lies strictly between 0 and 1."""
     if q0 is None:
         raise UsageError("this command needs --q0 p/r")
+    if not 0 < q0 < 1:
+        raise UsageError("q0 must lie strictly between 0 and 1")
     return q0
 
 
@@ -306,16 +309,13 @@ def _to_report(result):
 def _cmd_normalize(args, config, q0):
     space = _resolve_space(args, q0)
     element = parse_expression(args.expression, space.presentation)
-    report = {
-        "command": "normalize",
-        "status": "ok",
+    return {
         "space": space.to_json(),
         "input": args.expression,
         "printed": str(element),
         "term_count": len(element.terms),
         "element": element.to_json(),
-    }
-    return report, 0
+    }, True
 
 
 def _cmd_grading_degree(args, config, q0):
@@ -324,9 +324,7 @@ def _cmd_grading_degree(args, config, q0):
     element = parse_expression(args.expression, space.presentation)
     d = degree(element, g)
     components = homogeneous_components(element, g)
-    report = {
-        "command": "grading degree",
-        "status": "ok",
+    return {
         "space": space.to_json(),
         "grading": {"weights": list(g.weights), "modulus": g.modulus, "scale": g.scale},
         "input": args.expression,
@@ -334,8 +332,7 @@ def _cmd_grading_degree(args, config, q0):
         "homogeneous": d is not INHOMOGENEOUS,
         "degree": None if d is INHOMOGENEOUS else d,
         "components": {str(k): str(v) for k, v in components.items()},
-    }
-    return report, 0
+    }, True
 
 
 def _cmd_grading_certify(args, config, q0):
@@ -360,41 +357,24 @@ def _cmd_grading_certify(args, config, q0):
             }
         )
     verified = result["all_certified"]
-    report = {
-        "command": "grading certify",
-        "status": "ok" if verified else "fail",
+    return {
         "space": space.to_json(),
         "grading": {"weights": list(g.weights), "modulus": g.modulus, "scale": g.scale},
         "method": "triangular",  # the only constructor; the field keeps report bytes stable
         "verified": verified,
         "degrees": entries,
-    }
-    return report, 0 if verified else 1
+    }, verified
 
 
 def _cmd_ktheory_lens(args, config, q0):
     out = lens_k_groups(LensDescriptor(args.N, args.weights))
-    report = {
-        "command": "ktheory lens",
-        "status": "ok",
-        "N": args.N,
-        "weights": list(args.weights),
-        **_to_report(out),
-    }
-    return report, 0
+    return {"N": args.N, "weights": list(args.weights), **_to_report(out)}, True
 
 
 def _cmd_ktheory_teardrop(args, config, q0):
     """Both teardrop commands: the complex quotient's K-groups, the real one's candidates."""
     build = teardrop_k_groups if args.subcommand == "teardrop" else real_teardrop_k
-    report = {
-        "command": f"ktheory {args.subcommand}",
-        "status": "ok",
-        "n": args.n,
-        "m": args.m,
-        **_to_report(build(args.n, args.m)),
-    }
-    return report, 0
+    return {"n": args.n, "m": args.m, **_to_report(build(args.n, args.m))}, True
 
 
 def _rep_echo(args, spec, config):
@@ -409,14 +389,7 @@ def _cmd_rep_assemble(args, config, q0):
     space = TruncatedSpace(args.n, config.cutoff)
     element = parse_expression(args.expression, pres)
     op = apply_element(element, spec, space)
-    report = {
-        "command": "rep assemble",
-        "status": "ok",
-        **_rep_echo(args, spec, config),
-        "input": args.expression,
-        **op.to_json(),
-    }
-    return report, 0
+    return {**_rep_echo(args, spec, config), "input": args.expression, **op.to_json()}, True
 
 
 def _cmd_rep_verify(args, config, q0):
@@ -426,16 +399,13 @@ def _cmd_rep_verify(args, config, q0):
     out = relation_residual(pres, spec, space)
     checks = _residual_checks("relation", out["per_relation"], config.tolerance)
     passed = out["max_residual"] <= config.tolerance and not out["empty_interior"]
-    report = {
-        "command": "rep verify",
-        "status": "ok" if passed else "fail",
+    return {
         **_rep_echo(args, spec, config),
         "tolerance": config.tolerance,
         "max_residual": out["max_residual"],
         "empty_interior": out["empty_interior"],
         "checks": checks,
-    }
-    return report, 0 if passed else 1
+    }, passed
 
 
 def _cmd_rep_sectors(args, config, q0):
@@ -445,9 +415,7 @@ def _cmd_rep_sectors(args, config, q0):
     # an off-sector entry is never zero, so a generator is invariant exactly when its max is 0
     maxima = {label: info["max_off_sector"] for label, info in out["generators"].items()}
     checks = _residual_checks("sector", maxima, 0.0)
-    report = {
-        "command": "rep sectors",
-        "status": "ok" if out["all_invariant"] else "fail",
+    return {
         "family": args.family,
         "n": args.n,
         "m": args.m,
@@ -456,37 +424,30 @@ def _cmd_rep_sectors(args, config, q0):
         "all_invariant": out["all_invariant"],
         "checks": checks,
         "control_z0": out["control_z0"],
-    }
-    return report, 0 if out["all_invariant"] else 1
+    }, out["all_invariant"]
 
 
 def _cmd_rep_fredholm(args, config, q0):
     pres = AlgebraPresentation.sphere(args.n)
     element = parse_expression(args.expression, pres)
     out = fredholm_trace(element, args.n, args.m, _require_q0(q0), config.cutoff)
-    report = {
-        "command": "rep fredholm",
-        "status": "ok",
+    return {
         "n": args.n,
         "m": args.m,
         "q0": str(q0),
         "input": args.expression,
         **_to_report(out),
-    }
-    return report, 0
+    }, True
 
 
 def _cmd_overlaps(args, config, q0):
     checked, unresolved = unresolved_overlaps(AlgebraPresentation(args.space, args.n))
-    report = {
-        "command": "overlaps",
-        "status": "fail" if unresolved else "ok",
+    return {
         "space": args.space,
         "n": args.n,
         "checked": checked,
         "unresolved": [[str(g) for g in triple] for triple in unresolved],
-    }
-    return report, 1 if unresolved else 0
+    }, not unresolved
 
 
 def _cmd_suite(args, config, q0):
@@ -497,15 +458,12 @@ def _cmd_suite(args, config, q0):
             raise UsageError(f"unknown check {name!r}; choose from {', '.join(table)}")
     checks = [table[name](config) for name in selected]
     all_passed = all(c["status"] == "pass" for c in checks)
-    report = {
-        "command": "suite",
-        "status": "ok" if all_passed else "fail",
+    return {
         "seed": config.seed,
         "tolerance": config.tolerance,
         "all_passed": all_passed,
         "checks": checks,
-    }
-    return report, 0 if all_passed else 1
+    }, all_passed
 
 
 # -- argv wiring --------------------------------------------------------------
@@ -629,7 +587,14 @@ def build_parser():
 
 
 def run_command(argv, stdout=None, stderr=None):
-    """Dispatch argv, print one JSON report, and return the exit code."""
+    """Dispatch argv, print one JSON report, and return the exit code.
+
+    A handler returns ``(fields, passed)``: the report's fields, without
+    ``command`` or ``status``, and its verdict.  The report adds the full
+    command name ("ktheory lens", not "ktheory") and status "ok" or "fail",
+    and the exit code is 0 or 1 to match.  A UsageError exits 2 with a line
+    on stderr; any other exception becomes an exit-1 "error" report.
+    """
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     try:
@@ -639,25 +604,20 @@ def run_command(argv, stdout=None, stderr=None):
         if exc.code in (0, None):
             return 0
         return exc.code if isinstance(exc.code, int) else 2
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     config = None
     try:
         config, q0 = _resolve_config(args)
-        report, code = args.handler(args, config, q0)
+        fields, passed = args.handler(args, config, q0)
     except UsageError as err:
         stderr.write(f"usage error: {err}\n")
         return 2
     except Exception as err:  # noqa: BLE001 - every failure becomes a diagnostic
-        # name the command as its ok report does: "ktheory lens", not "ktheory"
-        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
-        diagnostic = {
-            "command": command,
-            "status": "error",
-            "error": {"type": type(err).__name__, "message": str(err)},
-        }
-        _emit(diagnostic, config, stdout)
+        error = {"type": type(err).__name__, "message": str(err)}
+        _emit({"command": command, "status": "error", "error": error}, config, stdout)
         return 1
-    _emit(report, config, stdout)
-    return code
+    _emit({**fields, "command": command, "status": "ok" if passed else "fail"}, config, stdout)
+    return 0 if passed else 1
 
 
 def main():

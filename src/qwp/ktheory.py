@@ -535,7 +535,7 @@ def _kernel_cokernel(M):
     rank = len(factors)
     return (
         FGAbelianGroup(M.cols - rank),
-        FGAbelianGroup.from_parts(M.rows - rank, tuple(t for t in factors if t > 1)),
+        FGAbelianGroup(M.rows - rank, tuple(t for t in factors if t > 1)),
     )
 
 

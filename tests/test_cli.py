@@ -384,6 +384,9 @@ def test_usage_errors_exit_two():
     assert run(["rep", "verify", "--family", "bar", "--n", "1", "--q0", "1/2"])[0] == 2
     assert run(["rep", "verify", "--family", "sphere", "--n", "1", "--q0", "0.5"])[0] == 2
     assert run(["normalize", "z0", "--n", "1", "--q0", "3/2"])[0] == 2
+    # every command that reads --q0 refuses one outside (0, 1) before computing
+    assert run(["rep", "fredholm", "z0*", "--n", "1", "--m", "1", "--q0", "3/2"])[0] == 2
+    assert run(["rep", "fredholm", "z0*", "--n", "1", "--m", "1", "--q0", "1"])[0] == 2
     assert run(["suite", "--select", "bogus"])[0] == 2
     assert run(["grading", "certify", "--weights", "1,2", "--method", "triangular"])[0] == 2
     assert run(["grading", "certify", "--weights", "1,2", "--degree-cap", "3"])[0] == 2
@@ -507,13 +510,15 @@ def test_element_power_budget_exits_one(monkeypatch):
     assert code == 0 and report["term_count"] == 1
 
 
+# the relation residuals of sphere(1) at cutoff 4 are nonzero, so this call fails
+TIGHT_VERIFY = [
+    "rep", "verify", "--family", "sphere", "--n", "1",
+    "--q0", "1/2", "--cutoff", "4", "--tolerance", "1e-30",
+]
+
+
 def test_failed_checks_exit_one():
-    code, report, _ = run(
-        [
-            "rep", "verify", "--family", "sphere", "--n", "1",
-            "--q0", "1/2", "--cutoff", "4", "--tolerance", "1e-30",
-        ]
-    )
+    code, report, _ = run(TIGHT_VERIFY)
     assert code == 1 and report["status"] == "fail"
     assert any(c["status"] == "fail" for c in report["checks"])
 
@@ -685,11 +690,15 @@ def test_output_file_matches_stdout(tmp_path):
         (["grading", "degree", "z0 z0 + z0 z1", "--space", "wp", "--weights", "1,2"],
          "grading degree"),
         (["overlaps", "--space", "sigma", "--n", "3"], "overlaps"),
+        (TIGHT_VERIFY, "rep verify"),
     ],
 )
 def test_reports_validate_against_schemas(argv, command):
+    passed = argv is not TIGHT_VERIFY
     code, report, _ = run(argv)
-    assert code == 0, report
+    assert code == (0 if passed else 1), report
+    assert report["command"] == command
+    assert report["status"] == ("ok" if passed else "fail")
     jsonschema.validate(report, report_schema(command))
 
 
