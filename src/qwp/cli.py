@@ -590,10 +590,10 @@ def run_command(argv, stdout=None, stderr=None):
     """Dispatch argv, print one JSON report, and return the exit code.
 
     A handler returns ``(fields, passed)``: the report's fields, without
-    ``command`` or ``status``, and its verdict.  The report adds the full
+    ``command`` or ``status``, and its verdict.  run_command adds the full
     command name ("ktheory lens", not "ktheory") and status "ok" or "fail",
-    and the exit code is 0 or 1 to match.  A UsageError exits 2 with a line
-    on stderr; any other exception becomes an exit-1 "error" report.
+    and exits 0 or 1 to match; a UsageError exits 2 and any other exception
+    prints an exit-1 "error" report under the same command name.
     """
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr

@@ -384,7 +384,7 @@ def test_usage_errors_exit_two():
     assert run(["rep", "verify", "--family", "bar", "--n", "1", "--q0", "1/2"])[0] == 2
     assert run(["rep", "verify", "--family", "sphere", "--n", "1", "--q0", "0.5"])[0] == 2
     assert run(["normalize", "z0", "--n", "1", "--q0", "3/2"])[0] == 2
-    # every command that reads --q0 refuses one outside (0, 1) before computing
+    # rep fredholm refuses a q0 outside (0, 1) as the other q0 commands do
     assert run(["rep", "fredholm", "z0*", "--n", "1", "--m", "1", "--q0", "3/2"])[0] == 2
     assert run(["rep", "fredholm", "z0*", "--n", "1", "--m", "1", "--q0", "1"])[0] == 2
     assert run(["suite", "--select", "bogus"])[0] == 2
