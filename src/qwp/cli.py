@@ -69,13 +69,12 @@ DEFAULT_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """Which algebra a command speaks about, plus optional numeric q0."""
+    """Which algebra an exact command speaks about: kind, n, weights and modulus."""
 
     kind: str
     n: int
     weights: tuple
     modulus: int = None
-    q0: Fraction = None
 
     def __post_init__(self):
         if self.kind not in SPACE_KINDS:
@@ -91,8 +90,6 @@ class SpaceDescriptor:
                 raise UsageError("lens kinds need a modulus N >= 1")
         elif self.modulus is not None:
             raise UsageError(f"kind {self.kind!r} does not take a modulus")
-        if self.q0 is not None:
-            _require_q0(self.q0)
 
     @property
     def presentation(self):
@@ -114,13 +111,13 @@ class SpaceDescriptor:
             "n": self.n,
             "weights": list(self.weights),
             "N": self.modulus,
-            "q0": None if self.q0 is None else str(self.q0),
+            "q0": None,  # no exact command reads q0; the field keeps report bytes stable
         }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Numeric knobs shared by the commands; flags override config files."""
+    """Knobs a command declares, flag over config file; an undeclared knob keeps its default."""
 
     cutoff: int = DEFAULT_CUTOFF
     tolerance: float = DEFAULT_TOLERANCE
@@ -140,7 +137,7 @@ class RunConfig:
 def parse_rational(text):
     """Exact rational from "p/r" or an integer literal; floats are refused."""
     text = text.strip()
-    if any(ch in text for ch in ".eE") and not text.lstrip("+-").isdigit():
+    if any(ch in text for ch in ".eE"):
         raise UsageError(f"{text!r} is not an exact rational; write it as p/r")
     try:
         if "/" in text:
@@ -165,7 +162,7 @@ def parse_config_file(path):
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config {path!r}: {err}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -181,9 +178,11 @@ def parse_config_file(path):
 
 
 def _resolve_config(args):
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = parse_config_file(args.config) if args.config else {}
+    file_values = {key: value for key, value in file_values.items() if hasattr(args, key)}
 
-    def pick(flag, key, convert, default):
+    def pick(key, convert, default):
+        flag = getattr(args, key, None)
         if flag is not None:
             return flag
         if key in file_values:
@@ -194,20 +193,15 @@ def _resolve_config(args):
         return default
 
     config = RunConfig(
-        cutoff=pick(getattr(args, "cutoff", None), "cutoff", int, DEFAULT_CUTOFF),
-        tolerance=pick(
-            getattr(args, "tolerance", None), "tolerance", float, DEFAULT_TOLERANCE
-        ),
-        output=pick(getattr(args, "output", None), "output", str, None),
-        seed=pick(getattr(args, "seed", None), "seed", int, 0),
+        cutoff=pick("cutoff", int, DEFAULT_CUTOFF),
+        tolerance=pick("tolerance", float, DEFAULT_TOLERANCE),
+        output=pick("output", str, None),
+        seed=pick("seed", int, 0),
     )
-    q0 = getattr(args, "q0", None)
-    if q0 is None and "q0" in file_values:
-        q0 = parse_rational(file_values["q0"])
-    return config, q0
+    return config, pick("q0", parse_rational, None)
 
 
-def _resolve_space(args, q0):
+def _resolve_space(args):
     weights = getattr(args, "weights", None)
     n = getattr(args, "n", None)
     if weights is None:
@@ -223,7 +217,6 @@ def _resolve_space(args, q0):
         n=n,
         weights=weights,
         modulus=getattr(args, "N", None),
-        q0=q0,
     )
 
 
@@ -266,11 +259,15 @@ def render_report(report):
 
 
 def _emit(report, config, stdout):
+    """Write the report to --output, then to stdout, so a bad path leaves stdout empty."""
     text = render_report(report)
-    stdout.write(text)
     if config is not None and config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write output {config.output!r}: {err}") from None
+    stdout.write(text)
 
 
 def report_schema(command):
@@ -307,7 +304,7 @@ def _to_report(result):
 
 
 def _cmd_normalize(args, config, q0):
-    space = _resolve_space(args, q0)
+    space = _resolve_space(args)
     element = parse_expression(args.expression, space.presentation)
     return {
         "space": space.to_json(),
@@ -319,7 +316,7 @@ def _cmd_normalize(args, config, q0):
 
 
 def _cmd_grading_degree(args, config, q0):
-    space = _resolve_space(args, q0)
+    space = _resolve_space(args)
     g = space.grading()
     element = parse_expression(args.expression, space.presentation)
     d = degree(element, g)
@@ -336,7 +333,7 @@ def _cmd_grading_degree(args, config, q0):
 
 
 def _cmd_grading_certify(args, config, q0):
-    space = _resolve_space(args, q0)
+    space = _resolve_space(args)
     g = space.grading()
     degrees = _parse_int_list(args.degrees, "degree list") if args.degrees else (1, -1)
     result = check_strong_grading(space.presentation, g, degrees)
@@ -428,9 +425,10 @@ def _cmd_rep_sectors(args, config, q0):
 
 
 def _cmd_rep_fredholm(args, config, q0):
+    q0 = _require_q0(q0)
     pres = AlgebraPresentation.sphere(args.n)
     element = parse_expression(args.expression, pres)
-    out = fredholm_trace(element, args.n, args.m, _require_q0(q0), config.cutoff)
+    out = fredholm_trace(element, args.n, args.m, q0, config.cutoff)
     return {
         "n": args.n,
         "m": args.m,
@@ -476,11 +474,11 @@ def _add_space_options(parser, kinds=SPACE_KINDS):
     parser.add_argument("--N", type=int)
 
 
-def _add_config_options(parser):
-    parser.add_argument("--q0", type=parse_rational)
-    parser.add_argument("--cutoff", type=int)
-    parser.add_argument("--tolerance", type=float)
-    parser.add_argument("--seed", type=int)
+def _add_config_options(parser, *names):
+    """--output, --config and the named ones of --q0, --cutoff, --tolerance and --seed."""
+    types = {"q0": parse_rational, "cutoff": int, "tolerance": float, "seed": int}
+    for name in names:
+        parser.add_argument(f"--{name}", type=types[name])
     parser.add_argument("--output")
     parser.add_argument("--config")
 
@@ -552,22 +550,22 @@ def build_parser():
     p = rsub.add_parser("assemble", help="sparse matrix of an element")
     p.add_argument("expression")
     _add_rep_options(p)
-    _add_config_options(p)
+    _add_config_options(p, "q0", "cutoff")
     p.set_defaults(handler=_cmd_rep_assemble)
     p = rsub.add_parser("verify", help="interior residuals of the defining relations")
     _add_rep_options(p)
-    _add_config_options(p)
+    _add_config_options(p, "q0", "cutoff", "tolerance")
     p.set_defaults(handler=_cmd_rep_verify)
     p = rsub.add_parser("sectors", help="block-diagonality across congruence sectors")
     p.add_argument("--m", type=int, required=True)
     _add_rep_options(p)
-    _add_config_options(p)
+    _add_config_options(p, "q0", "cutoff")
     p.set_defaults(handler=_cmd_rep_sectors)
     p = rsub.add_parser("fredholm", help="partial traces of the representation difference")
     p.add_argument("expression")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_config_options(p)
+    _add_config_options(p, "q0", "cutoff")
     p.set_defaults(handler=_cmd_rep_fredholm)
 
     p = sub.add_parser(
@@ -580,7 +578,7 @@ def build_parser():
 
     p = sub.add_parser("suite", help="run the full verification battery")
     p.add_argument("--select", help="comma-separated subset of checks to run")
-    _add_config_options(p)
+    _add_config_options(p, "seed", "tolerance")
     p.set_defaults(handler=_cmd_suite)
 
     return parser
@@ -607,17 +605,19 @@ def run_command(argv, stdout=None, stderr=None):
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     config = None
     try:
-        config, q0 = _resolve_config(args)
-        fields, passed = args.handler(args, config, q0)
+        try:
+            config, q0 = _resolve_config(args)
+            fields, passed = args.handler(args, config, q0)
+            report = {**fields, "status": "ok" if passed else "fail"}
+        except UsageError:
+            raise
+        except Exception as err:  # noqa: BLE001 - every failure becomes a diagnostic
+            report = {"status": "error", "error": {"type": type(err).__name__, "message": str(err)}}
+        _emit({**report, "command": command}, config, stdout)
     except UsageError as err:
         stderr.write(f"usage error: {err}\n")
         return 2
-    except Exception as err:  # noqa: BLE001 - every failure becomes a diagnostic
-        error = {"type": type(err).__name__, "message": str(err)}
-        _emit({"command": command, "status": "error", "error": error}, config, stdout)
-        return 1
-    _emit({**fields, "command": command, "status": "ok" if passed else "fail"}, config, stdout)
-    return 0 if passed else 1
+    return 0 if report["status"] == "ok" else 1
 
 
 def main():

@@ -1,5 +1,6 @@
 """Command-line layer: grammar, descriptors, reports, schemas, exit codes."""
 
+import argparse
 import io
 import json
 import os
@@ -174,8 +175,6 @@ def test_space_descriptor_validation():
         SpaceDescriptor("sphere", 1, (1, 0))
     with pytest.raises(UsageError):
         SpaceDescriptor("orbifold", 1, (1, 1))
-    with pytest.raises(UsageError):
-        SpaceDescriptor("sphere", 1, (1, 1), q0=Fraction(3, 2))
 
 
 def test_space_descriptor_gradings():
@@ -235,6 +234,57 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("colour = blue\n")
     assert run(["suite", "--select", "power-products", "--config", str(cfg)])[0] == 2
+
+
+# the config options each command declares: the ones its handler reads
+DECLARED_OPTIONS = {
+    "normalize": ((), ["normalize", "z0", "--n", "1"]),
+    "grading degree": ((), ["grading", "degree", "z0", "--n", "1"]),
+    "grading certify": ((), ["grading", "certify", "--space", "wp", "--weights", "1,2"]),
+    "ktheory lens": ((), ["ktheory", "lens", "--N", "3", "--weights", "1,1,2"]),
+    "ktheory teardrop": ((), ["ktheory", "teardrop", "1", "1"]),
+    "ktheory real-teardrop": ((), ["ktheory", "real-teardrop", "1", "1"]),
+    "rep assemble": (("q0", "cutoff"), ["rep", "assemble", "z0", "--n", "1"]),
+    "rep verify": (("q0", "cutoff", "tolerance"), ["rep", "verify", "--n", "1"]),
+    "rep sectors": (("q0", "cutoff"), ["rep", "sectors", "--n", "1", "--m", "2"]),
+    "rep fredholm": (("q0", "cutoff"), ["rep", "fredholm", "z0", "--n", "1", "--m", "1"]),
+    "overlaps": ((), ["overlaps", "--n", "1"]),
+    "suite": (("seed", "tolerance"), ["suite", "--select", "power-products"]),
+}
+
+
+def _leaf_parsers(parser, prefix=()):
+    """(command name, parser) for every subcommand that runs a handler."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+def test_each_command_declares_only_the_options_it_reads(tmp_path):
+    knobs = ("q0", "cutoff", "tolerance", "seed")
+    values = {"q0": "1/2", "cutoff": "4", "tolerance": "1e-3", "seed": "5"}
+    declared = {}
+    for name, parser in _leaf_parsers(build_parser()):
+        options = {opt[2:] for action in parser._actions for opt in action.option_strings}
+        declared[name] = options & {*knobs, "output", "config"}
+    assert declared == {name: {*names, "output", "config"}
+                        for name, (names, _) in DECLARED_OPTIONS.items()}
+    for name, (names, argv) in DECLARED_OPTIONS.items():
+        for knob in set(knobs) - set(names):
+            code, out, err = run_streams(argv + [f"--{knob}", values[knob]])
+            assert code == 2 and out == "", (name, knob)
+            assert f"unrecognized arguments: --{knob}" in err, (name, knob)
+    # a shared config file feeds each command only the keys it declares
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("cutoff = 0\nq0 = 3/2\n")
+    lens = ["ktheory", "lens", "--N", "3", "--weights", "1,1,2"]
+    assert run_streams(lens + ["--config", str(cfg)]) == run_streams(lens)
+    code, out, _ = run_streams(["rep", "verify", "--family", "sphere", "--n", "1",
+                                "--config", str(cfg)])
+    assert code == 2 and out == ""
 
 
 # -- worked command examples -----------------------------------------------------
@@ -387,6 +437,8 @@ def test_usage_errors_exit_two():
     # rep fredholm refuses a q0 outside (0, 1) as the other q0 commands do
     assert run(["rep", "fredholm", "z0*", "--n", "1", "--m", "1", "--q0", "3/2"])[0] == 2
     assert run(["rep", "fredholm", "z0*", "--n", "1", "--m", "1", "--q0", "1"])[0] == 2
+    # and asks for q0 before it parses the expression
+    assert run(["rep", "fredholm", "z9", "--n", "1", "--m", "1"])[0] == 2
     assert run(["suite", "--select", "bogus"])[0] == 2
     assert run(["grading", "certify", "--weights", "1,2", "--method", "triangular"])[0] == 2
     assert run(["grading", "certify", "--weights", "1,2", "--degree-cap", "3"])[0] == 2
@@ -536,9 +588,10 @@ def test_help_and_usage_errors_go_to_the_call_streams(capsys):
 
 def test_rejected_flag_value_names_the_reason():
     for argv, reason in (
-        (["normalize", "z0", "--n", "1", "--q0", "0.5"],
+        (["rep", "verify", "--family", "sphere", "--n", "1", "--q0", "0.5"],
          "argument --q0: '0.5' is not an exact rational; write it as p/r"),
-        (["normalize", "z0", "--q0", "1/0", "--n", "1"], "argument --q0: bad rational '1/0'"),
+        (["rep", "verify", "--family", "sphere", "--q0", "1/0", "--n", "1"],
+         "argument --q0: bad rational '1/0'"),
         (["normalize", "z0", "--weights", "1,x"],
          "argument --weights: bad weights '1,x'; expected comma-separated integers"),
     ):
@@ -566,7 +619,7 @@ def reuse_argvs(tmp):
         ["ktheory", "teardrop", "2", "3"],
         ["ktheory", "teardrop", "x", "1"],
         ["ktheory", "teardrop", "--help"],
-        ["ktheory", "real-teardrop", "2", "1", "--seed", "5"],
+        ["ktheory", "real-teardrop", "2", "1"],
         ["rep", "assemble", "z1", "--family", "sphere", "--n", "1", "--q0", "1/2", "--cutoff", "2"],
         ["rep", "verify", "--family", "sphere", "--n", "1", "--config", str(cfg)],
         ["rep", "verify", "--family", "sphere", "--n", "1"],
@@ -665,6 +718,32 @@ def test_output_file_matches_stdout(tmp_path):
     target = tmp_path / "report.json"
     _, _, text = run(["ktheory", "teardrop", "1", "1", "--output", str(target)])
     assert target.read_text() == text
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path):
+    target = str(tmp_path / "missing" / "report.json")
+    # an ok, a fail and an error report alike
+    for argv in (["ktheory", "teardrop", "1", "1"], TIGHT_VERIFY, ["normalize", "z9", "--n", "1"]):
+        code, out, err = run_streams(argv + ["--output", target])
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage error: cannot write output") and target in err, argv
+
+
+def test_config_output_that_cannot_be_written_is_a_usage_error(tmp_path):
+    target = str(tmp_path / "missing" / "report.json")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output = {target}\n")
+    code, out, err = run_streams(["ktheory", "teardrop", "1", "1", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: cannot write output") and target in err
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("output = r\u00e9sum\u00e9.json\n".encode("latin-1"))
+    code, out, err = run_streams(["ktheory", "teardrop", "1", "1", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: cannot read config") and str(cfg) in err
 
 
 @pytest.mark.parametrize(
