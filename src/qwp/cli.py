@@ -63,9 +63,6 @@ SPACE_KINDS = ("sphere", "sigma", "lens", "sigma_lens", "wp", "rp")
 _LENS_KINDS = ("lens", "sigma_lens")
 _SIGMA_KINDS = ("sigma", "sigma_lens", "rp")
 
-DEFAULT_CUTOFF = 10
-DEFAULT_TOLERANCE = 1e-12
-
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
@@ -117,26 +114,41 @@ class SpaceDescriptor:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs a command declares, flag over config file; an undeclared knob keeps its default."""
+    """Knobs a command declares, q0 among them, flag over config file; the rest keep defaults."""
 
-    cutoff: int = DEFAULT_CUTOFF
-    tolerance: float = DEFAULT_TOLERANCE
+    cutoff: int = 10
+    tolerance: float = 1e-12
     output: str = None
     seed: int = 0
+    q0: Fraction = None
 
     def __post_init__(self):
         if self.cutoff < 1:
             raise UsageError("cutoff must be at least 1")
         if not self.tolerance > 0:
             raise UsageError("tolerance must be positive")
+        if self.q0 is not None and not 0 < self.q0 < 1:
+            raise UsageError("q0 must lie strictly between 0 and 1")
 
 
 # -- option parsing -----------------------------------------------------------
 
 
+def _ascii(text):
+    """text itself, once it is ASCII without '_': int, float and Fraction read more."""
+    if not text.isascii() or "_" in text:
+        raise UsageError(f"{text!r} is not written in ASCII digits")
+    return text
+
+
+# int and float behind _ascii, under their own names so argparse still says "invalid int value"
+_int = functools.wraps(int)(lambda text: int(_ascii(text)))
+_float = functools.wraps(float)(lambda text: float(_ascii(text)))
+
+
 def parse_rational(text):
     """Exact rational from "p/r" or an integer literal; floats are refused."""
-    text = text.strip()
+    text = _ascii(text.strip())
     if any(ch in text for ch in ".eE"):
         raise UsageError(f"{text!r} is not an exact rational; write it as p/r")
     try:
@@ -148,16 +160,25 @@ def parse_rational(text):
         raise UsageError(f"bad rational {text!r}: {err}") from None
 
 
+def _rational_text(text):
+    """text itself, once parse_rational reads it, so a report echoes --lam as typed."""
+    parse_rational(text)
+    return text
+
+
 def _parse_int_list(text, what="weights"):
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in _ascii(text).split(","))
     except ValueError:
         raise UsageError(f"bad {what} {text!r}; expected comma-separated integers") from None
 
 
+# each config knob with the converter of its flag and file value; RunConfig holds the defaults
+_KNOBS = {"cutoff": _int, "tolerance": _float, "output": str, "seed": _int, "q0": parse_rational}
+
+
 def parse_config_file(path):
     """Read key=value lines; '#' starts a comment, blank lines are skipped."""
-    known = {"cutoff", "tolerance", "output", "seed", "q0"}
     values = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -171,34 +192,26 @@ def parse_config_file(path):
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _KNOBS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
     return values
 
 
 def _resolve_config(args):
+    """Each knob the command declares: its flag, else its config-file value, else the default."""
     file_values = parse_config_file(args.config) if args.config else {}
-    file_values = {key: value for key, value in file_values.items() if hasattr(args, key)}
-
-    def pick(key, convert, default):
+    values = {}
+    for key, convert in _KNOBS.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            return flag
-        if key in file_values:
+            values[key] = flag
+        elif key in file_values and hasattr(args, key):
             try:
-                return convert(file_values[key])
+                values[key] = convert(file_values[key])
             except ValueError as err:
                 raise UsageError(f"bad config value for {key}: {err}") from None
-        return default
-
-    config = RunConfig(
-        cutoff=pick("cutoff", int, DEFAULT_CUTOFF),
-        tolerance=pick("tolerance", float, DEFAULT_TOLERANCE),
-        output=pick("output", str, None),
-        seed=pick("seed", int, 0),
-    )
-    return config, pick("q0", parse_rational, None)
+    return RunConfig(**values)
 
 
 def _resolve_space(args):
@@ -220,33 +233,18 @@ def _resolve_space(args):
     )
 
 
-def _require_q0(q0):
-    """q0 itself, once it is given and lies strictly between 0 and 1."""
-    if q0 is None:
+def _require_q0(config):
+    """The call's q0, once it is given; RunConfig already holds it inside (0, 1)."""
+    if config.q0 is None:
         raise UsageError("this command needs --q0 p/r")
-    if not 0 < q0 < 1:
-        raise UsageError("q0 must lie strictly between 0 and 1")
-    return q0
+    return config.q0
 
 
-def _rep_spec(args, q0):
-    family = args.family + "_pi"
-    kwargs = {}
-    if args.lam is not None:
-        lam = parse_rational(args.lam)
-        kwargs["lam"] = (lam.numerator, lam.denominator)
-    if args.family == "bar":
-        if args.k is None:
-            raise UsageError("the bar family needs --k")
-        kwargs["k"] = args.k
-    elif args.k is not None:
-        raise UsageError("--k only applies to the bar family")
-    if args.family == "sigma":
-        kwargs["sign"] = args.sign
-    elif args.sign != 1:
-        raise UsageError("--sign only applies to the sigma family")
+def _rep_spec(args, config):
+    """The representation the rep flags name; RepSpec alone checks --k and --sign."""
+    lam = 1 if args.lam is None else parse_rational(args.lam).as_integer_ratio()
     try:
-        return RepSpec(family, _require_q0(q0), **kwargs)
+        return RepSpec(args.family + "_pi", _require_q0(config), lam, args.k, args.sign)
     except ValueError as err:
         raise UsageError(str(err)) from None
 
@@ -303,7 +301,7 @@ def _to_report(result):
 # -- subcommand handlers ------------------------------------------------------
 
 
-def _cmd_normalize(args, config, q0):
+def _cmd_normalize(args, config):
     space = _resolve_space(args)
     element = parse_expression(args.expression, space.presentation)
     return {
@@ -315,7 +313,7 @@ def _cmd_normalize(args, config, q0):
     }, True
 
 
-def _cmd_grading_degree(args, config, q0):
+def _cmd_grading_degree(args, config):
     space = _resolve_space(args)
     g = space.grading()
     element = parse_expression(args.expression, space.presentation)
@@ -332,7 +330,7 @@ def _cmd_grading_degree(args, config, q0):
     }, True
 
 
-def _cmd_grading_certify(args, config, q0):
+def _cmd_grading_certify(args, config):
     space = _resolve_space(args)
     g = space.grading()
     degrees = _parse_int_list(args.degrees, "degree list") if args.degrees else (1, -1)
@@ -363,12 +361,12 @@ def _cmd_grading_certify(args, config, q0):
     }, verified
 
 
-def _cmd_ktheory_lens(args, config, q0):
+def _cmd_ktheory_lens(args, config):
     out = lens_k_groups(LensDescriptor(args.N, args.weights))
     return {"N": args.N, "weights": list(args.weights), **_to_report(out)}, True
 
 
-def _cmd_ktheory_teardrop(args, config, q0):
+def _cmd_ktheory_teardrop(args, config):
     """Both teardrop commands: the complex quotient's K-groups, the real one's candidates."""
     build = teardrop_k_groups if args.subcommand == "teardrop" else real_teardrop_k
     return {"n": args.n, "m": args.m, **_to_report(build(args.n, args.m))}, True
@@ -380,8 +378,8 @@ def _rep_echo(args, spec, config):
     return {**echo, "q0": str(spec.q0), "cutoff": config.cutoff}
 
 
-def _cmd_rep_assemble(args, config, q0):
-    spec = _rep_spec(args, q0)
+def _cmd_rep_assemble(args, config):
+    spec = _rep_spec(args, config)
     pres = AlgebraPresentation(spec.pres_kind, args.n)
     space = TruncatedSpace(args.n, config.cutoff)
     element = parse_expression(args.expression, pres)
@@ -389,8 +387,8 @@ def _cmd_rep_assemble(args, config, q0):
     return {**_rep_echo(args, spec, config), "input": args.expression, **op.to_json()}, True
 
 
-def _cmd_rep_verify(args, config, q0):
-    spec = _rep_spec(args, q0)
+def _cmd_rep_verify(args, config):
+    spec = _rep_spec(args, config)
     pres = AlgebraPresentation(spec.pres_kind, args.n)
     space = TruncatedSpace(args.n, config.cutoff)
     out = relation_residual(pres, spec, space)
@@ -405,8 +403,8 @@ def _cmd_rep_verify(args, config, q0):
     }, passed
 
 
-def _cmd_rep_sectors(args, config, q0):
-    spec = _rep_spec(args, q0)
+def _cmd_rep_sectors(args, config):
+    spec = _rep_spec(args, config)
     space = TruncatedSpace(args.n, config.cutoff)
     out = sector_split_check(spec, args.m, space)
     # an off-sector entry is never zero, so a generator is invariant exactly when its max is 0
@@ -424,8 +422,8 @@ def _cmd_rep_sectors(args, config, q0):
     }, out["all_invariant"]
 
 
-def _cmd_rep_fredholm(args, config, q0):
-    q0 = _require_q0(q0)
+def _cmd_rep_fredholm(args, config):
+    q0 = _require_q0(config)
     pres = AlgebraPresentation.sphere(args.n)
     element = parse_expression(args.expression, pres)
     out = fredholm_trace(element, args.n, args.m, q0, config.cutoff)
@@ -438,7 +436,7 @@ def _cmd_rep_fredholm(args, config, q0):
     }, True
 
 
-def _cmd_overlaps(args, config, q0):
+def _cmd_overlaps(args, config):
     checked, unresolved = unresolved_overlaps(AlgebraPresentation(args.space, args.n))
     return {
         "space": args.space,
@@ -448,7 +446,7 @@ def _cmd_overlaps(args, config, q0):
     }, not unresolved
 
 
-def _cmd_suite(args, config, q0):
+def _cmd_suite(args, config):
     table = dict(SUITE_CHECKS)
     selected = [part.strip() for part in args.select.split(",")] if args.select else list(table)
     for name in selected:
@@ -467,28 +465,26 @@ def _cmd_suite(args, config, q0):
 # -- argv wiring --------------------------------------------------------------
 
 
-def _add_space_options(parser, kinds=SPACE_KINDS):
-    parser.add_argument("--space", choices=kinds, default="sphere")
-    parser.add_argument("--n", type=int)
+def _add_space_options(parser):
+    parser.add_argument("--space", choices=SPACE_KINDS, default="sphere")
+    parser.add_argument("--n", type=_int)
     parser.add_argument("--weights", type=_parse_int_list)
-    parser.add_argument("--N", type=int)
+    parser.add_argument("--N", type=_int)
 
 
 def _add_config_options(parser, *names):
-    """--output, --config and the named ones of --q0, --cutoff, --tolerance and --seed."""
-    types = {"q0": parse_rational, "cutoff": int, "tolerance": float, "seed": int}
-    for name in names:
-        parser.add_argument(f"--{name}", type=types[name])
-    parser.add_argument("--output")
+    """--output, --config and the named knobs of _KNOBS: --q0, --cutoff, --tolerance, --seed."""
+    for name in (*names, "output"):
+        parser.add_argument(f"--{name}", type=_KNOBS[name])
     parser.add_argument("--config")
 
 
 def _add_rep_options(parser):
     parser.add_argument("--family", choices=("sphere", "bar", "sigma"), default="sphere")
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--lam")
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--sign", type=int, choices=(1, -1), default=1)
+    parser.add_argument("--n", type=_int, required=True)
+    parser.add_argument("--lam", type=_rational_text)
+    parser.add_argument("--k", type=_int)
+    parser.add_argument("--sign", type=_int, choices=(1, -1), default=1)
 
 
 @functools.cache
@@ -530,18 +526,18 @@ def build_parser():
     ktheory = sub.add_parser("ktheory", help="K-groups via integer matrix normal forms")
     ksub = ktheory.add_subparsers(dest="subcommand", required=True)
     p = ksub.add_parser("lens", help="lens space K-groups from the endomorphism matrix")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int, required=True)
     p.add_argument("--weights", type=_parse_int_list, required=True)
     _add_config_options(p)
     p.set_defaults(handler=_cmd_ktheory_lens)
     p = ksub.add_parser("teardrop", help="K-groups of the one-weight projective quotient")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("n", type=_int)
+    p.add_argument("m", type=_int)
     _add_config_options(p)
     p.set_defaults(handler=_cmd_ktheory_teardrop)
     p = ksub.add_parser("real-teardrop", help="K0 candidate list for the real quotient")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("n", type=_int)
+    p.add_argument("m", type=_int)
     _add_config_options(p)
     p.set_defaults(handler=_cmd_ktheory_teardrop)
 
@@ -557,14 +553,14 @@ def build_parser():
     _add_config_options(p, "q0", "cutoff", "tolerance")
     p.set_defaults(handler=_cmd_rep_verify)
     p = rsub.add_parser("sectors", help="block-diagonality across congruence sectors")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
     _add_rep_options(p)
     _add_config_options(p, "q0", "cutoff")
     p.set_defaults(handler=_cmd_rep_sectors)
     p = rsub.add_parser("fredholm", help="partial traces of the representation difference")
     p.add_argument("expression")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--m", type=_int, required=True)
     _add_config_options(p, "q0", "cutoff")
     p.set_defaults(handler=_cmd_rep_fredholm)
 
@@ -572,7 +568,7 @@ def build_parser():
         "overlaps", help="check that every overlap of the rewriting rules resolves"
     )
     p.add_argument("--space", choices=("sphere", "sigma"), default="sphere")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     _add_config_options(p)
     p.set_defaults(handler=_cmd_overlaps)
 
@@ -587,11 +583,13 @@ def build_parser():
 def run_command(argv, stdout=None, stderr=None):
     """Dispatch argv, print one JSON report, and return the exit code.
 
-    A handler returns ``(fields, passed)``: the report's fields, without
-    ``command`` or ``status``, and its verdict.  run_command adds the full
-    command name ("ktheory lens", not "ktheory") and status "ok" or "fail",
-    and exits 0 or 1 to match; a UsageError exits 2 and any other exception
-    prints an exit-1 "error" report under the same command name.
+    A handler takes ``(args, config)``, the parsed flags and the RunConfig
+    of the knobs its command declares, and returns ``(fields, passed)``:
+    the report's fields, without ``command`` or ``status``, and its verdict.
+    run_command adds the full command name ("ktheory lens", not "ktheory")
+    and status "ok" or "fail", and exits 0 or 1 to match; a UsageError
+    exits 2 and any other exception prints an exit-1 "error" report under
+    the same command name.
     """
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
@@ -606,8 +604,8 @@ def run_command(argv, stdout=None, stderr=None):
     config = None
     try:
         try:
-            config, q0 = _resolve_config(args)
-            fields, passed = args.handler(args, config, q0)
+            config = _resolve_config(args)
+            fields, passed = args.handler(args, config)
             report = {**fields, "status": "ok" if passed else "fail"}
         except UsageError:
             raise

@@ -201,6 +201,8 @@ def test_run_config_validation():
         RunConfig(cutoff=0)
     with pytest.raises(UsageError):
         RunConfig(tolerance=0.0)
+    with pytest.raises(UsageError):
+        RunConfig(q0=Fraction(3, 2))
 
 
 def test_config_file_round(tmp_path):
@@ -228,6 +230,29 @@ def test_config_refuses_float_q0(tmp_path):
     cfg.write_text("q0 = 0.5\n")
     code, _, text = run(["rep", "verify", "--family", "sphere", "--n", "1", "--config", str(cfg)])
     assert code == 2 and text == ""
+
+
+def test_numeric_flags_read_ascii_digits_only(tmp_path):
+    # int(), float() and Fraction read any Unicode decimal digit and "_" separators
+    for argv in (
+        ["rep", "verify", "--n", "\u0663", "--q0", "\u0661/\u0662", "--cutoff", "1_0"],
+        ["rep", "verify", "--n", "\u0663", "--q0", "1/2"],
+        ["rep", "verify", "--n", "1", "--q0", "\u0661/\u0662"],
+        ["rep", "verify", "--n", "1", "--q0", "1/2", "--cutoff", "1_0"],
+        ["rep", "verify", "--n", "1", "--q0", "1/2", "--tolerance", "1e-1_2"],
+        ["rep", "verify", "--n", "1", "--q0", "1/2", "--lam", "\u0661/\u0664"],
+        ["ktheory", "lens", "--N", "\u0663", "--weights", "\u0661,1,2"],
+        ["ktheory", "teardrop", "\u0662", "3"],
+        ["grading", "certify", "--space", "wp", "--weights", "1,2", "--degrees=\u0661"],
+        ["suite", "--select", "power-products", "--seed", "\u0665"],
+    ):
+        code, out, _ = run_streams(argv)
+        assert code == 2 and out == "", argv
+    cfg = tmp_path / "digits.cfg"
+    cfg.write_text("cutoff = \u0661\u0660\n", encoding="utf-8")
+    code, out, err = run_streams(["rep", "verify", "--n", "1", "--q0", "1/2", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert "bad config value for cutoff" in err
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -432,6 +457,11 @@ def test_usage_errors_exit_two():
     assert run(["nonsense"])[0] == 2
     assert run(["rep", "verify", "--family", "sphere", "--n", "1"])[0] == 2
     assert run(["rep", "verify", "--family", "bar", "--n", "1", "--q0", "1/2"])[0] == 2
+    assert run(["rep", "verify", "--family", "sphere", "--n", "1", "--q0", "1/2", "--k", "1"])[0] == 2
+    assert run(["rep", "verify", "--family", "sphere", "--n", "1", "--q0", "1/2",
+                "--sign", "-1"])[0] == 2
+    assert run(["rep", "verify", "--family", "bar", "--n", "1", "--q0", "1/2", "--k", "1",
+                "--sign", "-1"])[0] == 2
     assert run(["rep", "verify", "--family", "sphere", "--n", "1", "--q0", "0.5"])[0] == 2
     assert run(["normalize", "z0", "--n", "1", "--q0", "3/2"])[0] == 2
     # rep fredholm refuses a q0 outside (0, 1) as the other q0 commands do
@@ -592,6 +622,8 @@ def test_rejected_flag_value_names_the_reason():
          "argument --q0: '0.5' is not an exact rational; write it as p/r"),
         (["rep", "verify", "--family", "sphere", "--q0", "1/0", "--n", "1"],
          "argument --q0: bad rational '1/0'"),
+        (["rep", "verify", "--n", "1", "--q0", "1/2", "--lam", "0.5"],
+         "argument --lam: '0.5' is not an exact rational"),
         (["normalize", "z0", "--weights", "1,x"],
          "argument --weights: bad weights '1,x'; expected comma-separated integers"),
     ):
