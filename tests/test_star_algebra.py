@@ -164,8 +164,11 @@ def test_recorded_normal_form_corpus():
         pres = AlgebraPresentation(*entry["presentation"])
         word = [_letter(t) for t in entry["word"].split()]
         for strategy in ("leftmost", "random"):
-            nf = normalize(word, pres, strategy=strategy, rng=random.Random(trial))
+            rng = random.Random(trial)
+            nf = normalize(word, pres, strategy=strategy, rng=rng)
             assert str(nf) == entry["normal_form"], f"{strategy} differs on {entry['word']}"
+        # the random walk's rng calls, pinned by the next draw after them
+        assert rng.random() == entry["draw"], f"random walk draws differ on {entry['word']}"
 
 
 def _normal_monomial(pres, word):
