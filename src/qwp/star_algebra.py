@@ -34,11 +34,12 @@ left-hand side has length 2, so the system is confluent exactly when each
 overlap g1 g2 g3 resolves; unresolved_overlaps checks them all.
 
 The engine runs on a compiled form of the table (_compiled): letters are
-int codes, z_i -> i and z_i* -> n+1+i, and the rules sit in a flat list
-indexed by code(g1) * 2(n+1) + code(g2).  Every rule factor lies in Z[t],
-t = q^-1, so below the input terms each coefficient is an int tuple in t;
-it becomes a Q(q) scalar only when a normal form is multiplied into the
-coefficient of an input term.
+byte codes, z_i -> i and z_i* -> n+1+i, a word is a bytes object, and the
+rules sit in a flat list indexed by code(g1) * 2(n+1) + code(g2).  Every
+rule factor lies in Z[t], t = q^-1, so below the input terms each
+coefficient p is held as the one int p(2^B), B a multiple of 8
+(Kronecker substitution); it is decoded, and becomes a Q(q) scalar, only
+when a normal form is multiplied into the coefficient of an input term.
 
 Elements are finite Q(q)-linear combinations of normal-form monomials;
 all arithmetic routes through the rewriting engine, which supports both a
@@ -50,11 +51,13 @@ from __future__ import annotations
 
 import functools
 import random
+import struct
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, NamedTuple
 
-from qwp.scalar import QScalar, _from_qpow, _padd, _pmul
+from qwp.scalar import QScalar, _from_qpow
 
 Q = QScalar.q()
 QINV2_M1 = QScalar.q(-2) - 1  # the (q^-2 - 1) coefficient of the zz* relation
@@ -64,7 +67,7 @@ ONE = QScalar.one()
 # grow as n^2: `normalize z0 --n 300` takes 1.1 s and 123 MB, and n = 600
 # 5.3 s and 438 MB.  At n = 100, `normalize "z0* z0 z99* z99"` takes
 # 0.15 s and 33 MB (2 cores, Python 3.11).  The recorded inputs use
-# n <= 3.
+# n <= 3.  The engine's letter codes, up to 2n + 1, must fit in a byte.
 MAX_PRESENTATION_N = 100
 
 
@@ -170,28 +173,34 @@ class AlgebraPresentation:
 # ---------------------------------------------------------------------------
 # rewriting engine
 #
-# Inside _rewrite a word is (codes, s): codes a tuple of z/z* letter codes,
-# z_i -> i and z_i* -> n+1+i (never w, never z_n* in sigma), and s the
-# collected central w exponent.  A coefficient is an int tuple c, lowest
-# degree first, standing for sum_j c[j] t^j with t = q^-1.
+# Inside _rewrite a word is (codes, s): codes a bytes object of z/z* letter
+# codes, z_i -> i and z_i* -> n+1+i (never w, never z_n* in sigma), and s
+# the collected central w exponent.  A coefficient is a polynomial
+# p = sum_j c[j] t^j in Z[t], t = q^-1, held packed as the one int p(2^B)
+# (Kronecker substitution): evaluation at 2^B is a ring map, so sums and
+# products of packed ints are exact, and p is read back from p(2^B) when
+# every |c[j]| < 2^(B-1).
 
 
 def _ingest(pres, codes, gens):
     """(letter codes, w exponent s) of a word; in sigma z_n* counts as w z_n."""
     word = []
     s = 0
+    top = 2 * pres.n + 1 if pres.kind == "sigma" else -1  # the code of sigma's z_n*
     for g in gens:
-        pres.check_generator(g)
-        if g.kind == "w":
+        c = codes.get(g)
+        if c is None or c == top:  # w, w*, sigma's z_n*, or not a letter of pres
+            pres.check_generator(g)
+            if g.kind == "w":
+                s += 1
+                continue
+            if g.kind == "w*":
+                s -= 1
+                continue
             s += 1
-        elif g.kind == "w*":
-            s -= 1
-        elif pres.kind == "sigma" and g.kind == "z*" and g.index == pres.n:
-            s += 1
-            word.append(g.index)  # the code of z_n
-        else:
-            word.append(codes[g])
-    return tuple(word), s
+            c = codes[g] - pres.n - 1  # the code of z_n
+        word.append(c)
+    return bytes(word), s
 
 
 @functools.cache
@@ -236,11 +245,12 @@ def _rules(pres):
 
 @functools.cache
 def _compiled(pres):
-    """_rules(pres) on letter codes: (table, width, codes).
+    """_rules(pres) on letter codes: (table, width, codes, is_redex).
 
     codes maps z_i to i and z_i* to n+1+i, width is 2(n+1), and
     table[code(g1) * width + code(g2)] is the tuple of branches
-    (k, r, replacement codes, ds) of the rule for g1 g2, or None.
+    (k, r, replacement codes, ds) of the rule for g1 g2, or None;
+    is_redex holds, at the same index, 1 for a rule and 0 for None.
     """
     n = pres.n
     width = 2 * (n + 1)
@@ -248,15 +258,11 @@ def _compiled(pres):
     codes.update({z_star(i): n + 1 + i for i in range(n + 1)})
     table = [None] * (width * width)
     for (g1, g2), rule in _rules(pres).items():
-        branches = tuple((k, r, tuple(codes[g] for g in rep), ds) for (k, r), rep, ds in rule)
+        branches = tuple((k, r, bytes(codes[g] for g in rep), ds) for (k, r), rep, ds in rule)
         # _chase and the random walk follow single-branch rules as swaps by t^k
-        assert len(branches) > 1 or branches[0][1:] == ((1,), (codes[g2], codes[g1]), 0)
+        assert len(branches) > 1 or branches[0][1:] == ((1,), bytes((codes[g2], codes[g1])), 0)
         table[codes[g1] * width + codes[g2]] = branches
-    return table, width, codes
-
-
-def _reducible_positions(table, width, word):
-    return [t for t in range(len(word) - 1) if table[word[t] * width + word[t + 1]]]
+    return table, width, codes, bytes(map(bool, table))
 
 
 def _apply_rule(table, width, word, s, t):
@@ -273,7 +279,7 @@ def _chase(table, width, word, s):
     so the combined factor is t^k.  Returns (k, word, s, t) where t is the
     leftmost branching redex, or -1 if the word is normal.
     """
-    w = list(word)
+    w = word  # copied on the first swap
     k = 0
     t = 0
     last = len(w) - 1
@@ -283,12 +289,16 @@ def _chase(table, width, word, s):
             t += 1
             continue
         if len(rule) > 1:
-            return k, tuple(w), s, t
+            break
+        if w is word:
+            w = bytearray(word)
         w[t], w[t + 1] = w[t + 1], w[t]
         k += rule[0][0]
         if t:
             t -= 1
-    return k, tuple(w), s, -1
+    else:
+        t = -1
+    return k, word if w is word else bytes(w), s, t
 
 
 def _word_to_monomial(n, word, s):
@@ -301,19 +311,6 @@ def _word_to_monomial(n, word, s):
         else:
             b[c - n - 1] += 1
     return Monomial(tuple(a), tuple(b), s)
-
-
-def _t_scalar(c, k=0):
-    """The QScalar t^k * sum_j c[j] t^j, t = q^-1, of a nonzero trimmed c.
-
-    With v the t-valuation of c and m = len(c) - 1 this is
-    (c[m] + c[m-1] q + ... + c[v] q^(m-v)) / q^(k+m): the numerator has a
-    nonzero constant term, so the pair is canonical without a gcd.
-    """
-    v = 0
-    while not c[v]:
-        v += 1
-    return _from_qpow(c[v:][::-1], k + len(c) - 1)
 
 
 def _leftmost(table, width, memo, register):
@@ -329,12 +326,12 @@ def _leftmost(table, width, memo, register):
     return intern
 
 
-def _random_walk(table, width, rng, memo, register):
+def _random_walk(table, width, is_redex, rng, memo, register):
     """A randomly chosen redex at each step.
 
     A word met twice reuses the redex choices made on first contact: chains
-    of single-branch applications are walked inline and recorded in a side
-    table.
+    of single-branch applications, swaps by t^k, are walked inline and
+    recorded in a side table.
     """
     walkmemo = {}  # key -> (t exponent, key of the walk's end)
 
@@ -342,21 +339,26 @@ def _random_walk(table, width, rng, memo, register):
         trail = []
         while True:
             key = (word, s)
-            if key in walkmemo:
-                sfx, final = walkmemo[key]
+            hit = walkmemo.get(key)
+            if hit:
+                sfx, final = hit
                 break
             sfx, final = 0, key
             if key in memo:
                 break
-            positions = _reducible_positions(table, width, word)
-            branches = None
-            if positions:
-                branches = _apply_rule(table, width, word, s, rng.choice(positions))
-            if not branches or len(branches) > 1:
-                register(key, word, s, branches)
+            last = len(word) - 1
+            positions = [t for t in range(last) if is_redex[word[t] * width + word[t + 1]]]
+            if not positions:
+                register(key, word, s, None)
                 break
-            k, _, word, s = branches[0]
+            t = rng.choice(positions)
+            rule = table[word[t] * width + word[t + 1]]
+            if len(rule) > 1:
+                register(key, word, s, _apply_rule(table, width, word, s, t))
+                break
+            k, _, rep, _ = rule[0]
             trail.append((key, k))
+            word = word[:t] + rep + word[t + 2 :]
         for wkey, k in reversed(trail):
             sfx += k
             walkmemo[wkey] = (sfx, final)
@@ -365,15 +367,105 @@ def _random_walk(table, width, rng, memo, register):
     return intern
 
 
+# B of a _rewrite call's first evaluation; a call whose bound does not fit
+# is evaluated again at a larger B.
+_START_BITS = 32
+
+# memoryview formats of the signed ints of 8, 16, 32 and 64 bits
+_CASTS = {8 * struct.calcsize(f): f for f in "bhiq"} if sys.byteorder == "little" else {}
+
+
+def _pack(c, bits):
+    """p(2^bits) of the polynomial p = sum_j c[j] t^j."""
+    out = 0
+    for x in reversed(c):
+        out = (out << bits) + x
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _offset(bits, digits):
+    """sum_{j < digits} 2^(bits-1) 2^(bits j): the top bit of each of the digits."""
+    return (1 << (bits - 1)) * ((1 << bits * digits) - 1) // ((1 << bits) - 1)
+
+
+def _decode(p, bits, k=0):
+    """The QScalar t^k * c(t), t = q^-1, of a nonzero packed p = c(2^bits).
+
+    bits is a multiple of 8 and every coefficient of c is below 2^(bits-1)
+    in absolute value.  The t-valuation v of c is the count of low zero
+    digits of p.  Past it, the offset adds 2^(bits-1) to each digit, which
+    makes the digits bits-wide fields with no carry between them; flipping
+    each field's top bit back leaves the coefficient as the field's
+    two's-complement value.  With m the degree of c the scalar is
+    (c[m] + c[m-1] q + ... + c[v] q^(m-v)) / q^(k+m): the numerator has a
+    nonzero constant term, so the pair is canonical without a gcd.
+    """
+    half = 1 << (bits - 1)
+    if -half < p < half:
+        return _from_qpow((p,), k)
+    v = ((p & -p).bit_length() - 1) // bits
+    p >>= bits * v
+    if -half < p < half:
+        return _from_qpow((p,), k + v)
+    digits = p.bit_length() // bits + 1
+    offset = _offset(bits, digits)
+    data = ((p + offset) ^ offset).to_bytes(bits // 8 * digits, "little")
+    fmt = _CASTS.get(bits)
+    if fmt:
+        num = tuple(memoryview(data).cast(fmt)[::-1])
+    else:
+        size = bits // 8
+        num = tuple(
+            int.from_bytes(data[i - size : i], "little", signed=True)
+            for i in range(len(data), 0, -size)
+        )
+    return _from_qpow(num, k + v + digits - 1)
+
+
+@functools.cache
+def _factor(r, bits):
+    """(r(2^bits), |r|_1) of a rule factor r."""
+    return _pack(r, bits), sum(map(abs, r))
+
+
+def _combine(out, memo, bound, bits):
+    """The packed normal form of a branch site and a bound on its coefficients.
+
+    out lists the site's edges (k, r, child): the site is the sum of
+    t^k * r * child.  The bound is sum of |r|_1 * bound[child], which also
+    bounds every partial sum, so while it stays below 2^(bits-1) a packed
+    sum is zero exactly when its polynomial is.
+    """
+    nf = {}
+    top = 0
+    for k, r, child in out:
+        pr, norm = _factor(r, bits)
+        top += norm * bound[child]
+        m = pr << (bits * k)
+        for mon, c in memo[child].items():
+            fc = m * c
+            acc = nf.get(mon)
+            if acc is None:
+                nf[mon] = fc
+            else:
+                acc += fc
+                if acc:
+                    nf[mon] = acc
+                else:
+                    del nf[mon]
+    return nf, top
+
+
 def _rewrite(pres, terms, strategy="leftmost", rng=None):
     """Exhaustively rewrite (coeff, word) pairs to a {Monomial: coeff} map.
 
     Each word, an iterable of Generators, is encoded once as letter codes,
     and pairs with the same encoded word are merged, so terms that cancel
-    are never rewritten.  Below these roots every coefficient is an int
-    tuple in t = q^-1, since every rule factor lies in Z[t]; a normal form
-    becomes a QScalar only at a root, where it is multiplied into the
-    root's coefficient.
+    are never rewritten.  Below these roots every coefficient lies in
+    Z[t], t = q^-1, since every rule factor does, and is held packed as
+    p(2^B); a normal form is decoded and becomes a QScalar only at a root,
+    where it is multiplied into the root's coefficient.
 
     Normal forms of intermediate words are cached for the duration of the
     call, so branches that reconverge on the same word are expanded once
@@ -381,13 +473,18 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
     redexes: it follows single-branch rule chains inline and registers the
     word it stops at, a branch site or a normal word, returning (k, key)
     with word = t^k * key's word modulo the relations.  Only branch sites
-    become nodes of the evaluation DAG.
+    become nodes of the evaluation DAG, evaluated in post-order at
+    B = _START_BITS.  Each node carries a bound on its coefficients; if a
+    root's bound reaches 2^(B-1), the recorded post-order is evaluated
+    again at the least B that fits, without walking any word again.
     """
-    table, width, codes = _compiled(pres)
+    table, width, codes, is_redex = _compiled(pres)
     n = pres.n
-    memo = {}   # key -> normal form; None while a branch site is pending
+    memo = {}   # key -> {Monomial: packed coefficient}; None while a branch site is pending
+    bound = {}  # key -> a bound on every |coefficient| of memo[key]
     raw = {}    # key -> branch list: branch site found, not yet expanded
-    edges = {}  # key -> [(k, r, child key)]: expanded, children pending
+    edges = {}  # key -> [(k, r, child key)]: expanded
+    order = []  # the evaluated branch sites, in post-order
     todo = []
 
     def register(key, word, s, branches):
@@ -396,12 +493,13 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
             raw[key] = branches
             todo.append(key)
         else:
-            memo[key] = {_word_to_monomial(n, word, s): (1,)}
+            memo[key] = {_word_to_monomial(n, word, s): 1}
+            bound[key] = 1
 
     if strategy == "leftmost":
         intern = _leftmost(table, width, memo, register)
     elif strategy == "random":
-        intern = _random_walk(table, width, rng or random.Random(0), memo, register)
+        intern = _random_walk(table, width, is_redex, rng or random.Random(0), memo, register)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -419,6 +517,7 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
         k, key = intern(word, s)
         roots.append((coeff, k, key))
 
+    bits = _START_BITS
     while todo:
         key = todo[-1]
         if memo[key] is not None:
@@ -436,25 +535,24 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
         if missing:
             todo.extend(missing)
             continue
-        nf = {}
-        for k, r, child in out:
-            pad = (0,) * k
-            for mon, c in memo[child].items():
-                fc = pad + _pmul(r, c)
-                acc = nf.get(mon)
-                acc = fc if acc is None else _padd(acc, fc)
-                if acc:
-                    nf[mon] = acc
-                elif mon in nf:
-                    del nf[mon]
-        del edges[key]
-        memo[key] = nf
+        memo[key], bound[key] = _combine(out, memo, bound, bits)
+        order.append(key)
         todo.pop()
+
+    # every node lies below a root, and bounds grow towards the roots
+    top = max([bound[key] for _, _, key in roots], default=0)
+    if top >> (bits - 1):
+        bits = (top.bit_length() + 8) // 8 * 8
+        for key in order:
+            memo[key] = _combine(edges[key], memo, bound, bits)[0]
 
     result = {}
     for coeff, k, key in roots:
+        unit = coeff == ONE
         for mon, c in memo[key].items():
-            fc = coeff * _t_scalar(c, k)
+            fc = _decode(c, bits, k)
+            if not unit:
+                fc = coeff * fc
             acc = result.get(mon)
             acc = fc if acc is None else acc + fc
             if acc:
@@ -475,24 +573,24 @@ def unresolved_overlaps(pres):
     checked and the triples where they differ; an empty list proves
     confluence.
     """
-    table, width, codes = _compiled(pres)
+    table, width, codes, _ = _compiled(pres)
     letters = sorted(codes, key=codes.get)
 
-    def decode(word):
+    def spell(word):
         return tuple(letters[c] for c in word)
 
     def one_step(word, t):  # the redex at t rewritten once, as _rewrite's terms
         branches = _apply_rule(table, width, word, 0, t)
-        # a rule's w exponent ds is 0 or -1
-        return [(_t_scalar(r, k), decode(w) + (W_STAR,) * -s) for k, r, w, s in branches]
+        # a rule's w exponent ds is 0 or -1, and its factor's coefficients are 0 or ±1
+        return [(_decode(_pack(r, 8), 8, k), spell(w) + (W_STAR,) * -s) for k, r, w, s in branches]
 
     checked = 0
     unresolved = []
-    for word in product(range(width), repeat=3):
+    for word in map(bytes, product(range(width), repeat=3)):
         if table[word[0] * width + word[1]] and table[word[1] * width + word[2]]:
             checked += 1
             if _rewrite(pres, one_step(word, 0)) != _rewrite(pres, one_step(word, 1)):
-                unresolved.append(decode(word))
+                unresolved.append(spell(word))
     return checked, unresolved
 
 

@@ -26,7 +26,6 @@ from qwp.star_algebra import (
     defining_relations,
     make_named_element,
     _rules,
-    _t_scalar,
     normalize,
     unresolved_overlaps,
     z,
@@ -158,7 +157,8 @@ def _letter(token):
     return Generator("z*" if token.endswith("*") else "z", int(token[1:].rstrip("*")))
 
 
-def test_recorded_normal_form_corpus():
+def _replay_corpus(after_entry=None):
+    """Normalize every recorded word under both strategies against its record."""
     corpus = json.loads((Path(__file__).parent / "data" / "normal_forms.json").read_text())
     for trial, entry in enumerate(corpus["entries"]):
         pres = AlgebraPresentation(*entry["presentation"])
@@ -169,6 +169,68 @@ def test_recorded_normal_form_corpus():
             assert str(nf) == entry["normal_form"], f"{strategy} differs on {entry['word']}"
         # the random walk's rng calls, pinned by the next draw after them
         assert rng.random() == entry["draw"], f"random walk draws differ on {entry['word']}"
+        if after_entry:
+            after_entry(entry)
+
+
+def test_recorded_normal_form_corpus():
+    _replay_corpus()
+
+
+def test_packed_evaluation_widens_past_a_small_start(monkeypatch):
+    # from B = 8 most coefficient bounds overflow; each such call must evaluate
+    # its DAG again at a wider B, and never decode a wrong coefficient
+    widths = []
+    widened = []
+    combine = star_algebra._combine
+
+    def recording_combine(out, memo, bound, bits):
+        widths.append(bits)
+        return combine(out, memo, bound, bits)
+
+    def note_widening(entry):
+        if any(bits > 8 for bits in widths):
+            widened.append(entry["word"])
+        widths.clear()
+
+    # z0*^10 z0^10 peaks at |coefficient| 127 and decodes from B = 8 even
+    # unwidened; z0*^12 z0^12 peaks at 504 and does not
+    power = [z_star(0)] * 12 + [z(0)] * 12
+    want = normalize(power, S1)
+    monkeypatch.setattr(star_algebra, "_START_BITS", 8)
+    monkeypatch.setattr(star_algebra, "_combine", recording_combine)
+    _replay_corpus(note_widening)
+    assert normalize(power, S1) == want and max(widths) > 8
+    assert " ".join(["z0*"] * 10 + ["z0"] * 10) in widened
+    assert len(widened) > 10
+
+
+PACKED_WIDTHS = (8, 16, 32, 64, 72)  # 72 has no memoryview format and decodes by slicing
+
+
+@st.composite
+def packed_polynomials(draw):
+    """(bits, c, k): c in Z[t] with every |c[j]| < 2^(bits-1) and c[-1] != 0."""
+    bits = draw(st.sampled_from(PACKED_WIDTHS))
+    top = 2 ** (bits - 1) - 1
+    digit = st.one_of(st.just(0), st.sampled_from((top, -top, 1, -1)), st.integers(-top, top))
+    low = [0] * draw(st.integers(0, 4))
+    body = draw(st.lists(digit, max_size=10))
+    lead = draw(st.one_of(st.sampled_from((top, -top, -1)), st.integers(-top, top).filter(bool)))
+    return bits, tuple(low + body + [lead]), draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_polynomials())
+def test_packed_coefficients_round_trip(case):
+    bits, c, k = case
+    packed = star_algebra._pack(c, bits)
+    assert packed == sum(cj << (bits * j) for j, cj in enumerate(c))
+    got = star_algebra._decode(packed, bits, k)
+    # t^k sum_j c[j] t^j, t = q^-1: c read from the top down over q^(k + deg c)
+    v = next(j for j, cj in enumerate(c) if cj)
+    assert got.num == c[v:][::-1], (bits, c)
+    assert got.den == (0,) * (k + len(c) - 1) + (1,), (bits, c)
 
 
 def _normal_monomial(pres, word):
@@ -226,7 +288,7 @@ def test_t_polynomials_become_canonical_scalars():
     for c in cases:
         for k in (0, 1, 3):
             want = sum((cj * QScalar.q(-j - k) for j, cj in enumerate(c)), QScalar.zero())
-            got = _t_scalar(c, k)
+            got = star_algebra._decode(star_algebra._pack(c, 32), 32, k)
             assert (got.num, got.den) == (want.num, want.den), (c, k)
 
 
