@@ -125,8 +125,8 @@ class RunConfig:
     def __post_init__(self):
         if self.cutoff < 1:
             raise UsageError("cutoff must be at least 1")
-        if not self.tolerance > 0:
-            raise UsageError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise UsageError("tolerance must be positive and finite")
         if self.q0 is not None and not 0 < self.q0 < 1:
             raise UsageError("q0 must lie strictly between 0 and 1")
 
@@ -253,12 +253,11 @@ def _rep_spec(args, config):
 
 
 def render_report(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(report, config, stdout):
-    """Write the report to --output, then to stdout, so a bad path leaves stdout empty."""
-    text = render_report(report)
+def _emit(text, config, stdout):
+    """Write the rendered report to --output, then to stdout, so a bad path leaves stdout empty."""
     if config is not None and config.output:
         try:
             with open(config.output, "w", encoding="utf-8") as handle:
@@ -606,12 +605,15 @@ def run_command(argv, stdout=None, stderr=None):
         try:
             config = _resolve_config(args)
             fields, passed = args.handler(args, config)
-            report = {**fields, "status": "ok" if passed else "fail"}
+            report = {**fields, "status": "ok" if passed else "fail", "command": command}
+            text = render_report(report)  # a non-finite float is an error, not a report
         except UsageError:
             raise
         except Exception as err:  # noqa: BLE001 - every failure becomes a diagnostic
-            report = {"status": "error", "error": {"type": type(err).__name__, "message": str(err)}}
-        _emit({**report, "command": command}, config, stdout)
+            error = {"type": type(err).__name__, "message": str(err)}
+            report = {"status": "error", "error": error, "command": command}
+            text = render_report(report)
+        _emit(text, config, stdout)
     except UsageError as err:
         stderr.write(f"usage error: {err}\n")
         return 2

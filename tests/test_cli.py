@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwp import grading, ktheory, star_algebra
+from qwp import cli, grading, ktheory, star_algebra
 from qwp.cli import (
     RunConfig,
     SpaceDescriptor,
@@ -253,6 +253,35 @@ def test_numeric_flags_read_ascii_digits_only(tmp_path):
     code, out, err = run_streams(["rep", "verify", "--n", "1", "--q0", "1/2", "--config", str(cfg)])
     assert code == 2 and out == ""
     assert "bad config value for cutoff" in err
+
+
+def test_tolerance_must_be_finite(tmp_path):
+    # an infinite tolerance passes every residual check and has no JSON spelling
+    with pytest.raises(UsageError):
+        RunConfig(tolerance=float("inf"))
+    with pytest.raises(UsageError):
+        RunConfig(tolerance=float("nan"))
+    for text in ("inf", "Infinity", "-inf", "nan", "1e400"):
+        code, out, err = run_streams(
+            ["rep", "verify", "--n", "1", "--q0", "1/2", "--cutoff", "3", f"--tolerance={text}"]
+        )
+        assert code == 2 and out == "" and "tolerance must be positive and finite" in err, text
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("tolerance = inf\nq0 = 1/2\n")
+    code, out, _ = run_streams(["rep", "verify", "--n", "1", "--config", str(cfg)])
+    assert code == 2 and out == ""
+
+
+def test_non_finite_report_values_are_errors(monkeypatch):
+    with pytest.raises(ValueError):
+        cli.render_report({"max_residual": float("nan")})
+    nan_residual = {"per_relation": {"r": float("nan")}, "max_residual": float("nan"),
+                    "empty_interior": False}
+    monkeypatch.setattr(cli, "relation_residual", lambda pres, spec, space: nan_residual)
+    code, report, text = run(["rep", "verify", "--n", "1", "--q0", "1/2", "--cutoff", "3"])
+    assert code == 1 and report["status"] == "error" and report["command"] == "rep verify"
+    assert report["error"]["type"] == "ValueError" and "NaN" not in text
+    jsonschema.validate(report, report_schema("error"))
 
 
 def test_config_rejects_unknown_keys(tmp_path):
