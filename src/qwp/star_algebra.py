@@ -540,7 +540,7 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
         todo.pop()
 
     # every node lies below a root, and bounds grow towards the roots
-    top = max([bound[key] for _, _, key in roots], default=0)
+    top = max([bound[key] for _, _, key in roots]) if order else 1
     if top >> (bits - 1):
         bits = (top.bit_length() + 8) // 8 * 8
         for key in order:
