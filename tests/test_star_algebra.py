@@ -1,5 +1,6 @@
 """Rewriting engine: relation soundness, normal forms, involution, named elements."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -175,6 +176,20 @@ def _replay_corpus(after_entry=None):
 
 def test_recorded_normal_form_corpus():
     _replay_corpus()
+
+
+@pytest.mark.parametrize(
+    "k, digest",
+    [
+        (16, "e28d246369ce4364daba73bd9ecbd65990e6cb71d591ff99e578fc96af294150"),
+        (20, "df5db161dde91eb0583aa557a73f398ce96939296cf4f8ca932ad4c286ab5d0b"),
+    ],
+)
+def test_wide_packed_normal_forms_keep_their_digest(k, digest):
+    # the packed coefficients of these two are wider than 64 bits (72 and 96),
+    # so their roots decode by slicing, not through a memoryview format
+    nf = normalize([z_star(0)] * k + [z(0)] * k, S2)
+    assert hashlib.sha256(str(nf).encode()).hexdigest() == digest
 
 
 def test_packed_evaluation_widens_past_a_small_start(monkeypatch):
