@@ -38,8 +38,11 @@ byte codes, z_i -> i and z_i* -> n+1+i, a word is a bytes object, and the
 rules sit in a flat list indexed by code(g1) * 2(n+1) + code(g2).  Every
 rule factor lies in Z[t], t = q^-1, so below the input terms each
 coefficient p is held as the one int p(2^B), B a multiple of 8
-(Kronecker substitution); it is decoded, and becomes a Q(q) scalar, only
-when a normal form is multiplied into the coefficient of an input term.
+(Kronecker substitution).  A call first builds its whole rewriting DAG,
+with a bound on every node's coefficients, then evaluates it once at the
+B its largest bound asks for; a coefficient is decoded, and becomes a
+Q(q) scalar, only when a normal form is multiplied into the coefficient of
+an input term.
 
 Elements are finite Q(q)-linear combinations of normal-form monomials;
 all arithmetic routes through the rewriting engine, which supports both a
@@ -367,10 +370,6 @@ def _random_walk(table, width, is_redex, rng, memo, register):
     return intern
 
 
-# B of a _rewrite call's first evaluation; a call whose bound does not fit
-# is evaluated again at a larger B.
-_START_BITS = 32
-
 # memoryview formats of the signed ints of 8, 16, 32 and 64 bits
 _CASTS = {8 * struct.calcsize(f): f for f in "bhiq"} if sys.byteorder == "little" else {}
 
@@ -390,17 +389,19 @@ def _offset(bits, digits):
 
 
 def _decode(p, bits, k=0):
-    """The QScalar t^k * c(t), t = q^-1, of a nonzero packed p = c(2^bits).
+    """The QScalar t^k * c(t), t = q^-1, of a packed p = c(2^bits).
 
     bits is a multiple of 8 and every coefficient of c is below 2^(bits-1)
-    in absolute value.  The t-valuation v of c is the count of low zero
-    digits of p.  Past it, the offset adds 2^(bits-1) to each digit, which
-    makes the digits bits-wide fields with no carry between them; flipping
-    each field's top bit back leaves the coefficient as the field's
-    two's-complement value.  With m the degree of c the scalar is
+    in absolute value.  The t-valuation v of a nonzero c is the count of
+    low zero digits of p.  Past it, the offset adds 2^(bits-1) to each
+    digit, which makes the digits bits-wide fields with no carry between
+    them; flipping each field's top bit back leaves the coefficient as the
+    field's two's-complement value.  With m the degree of c the scalar is
     (c[m] + c[m-1] q + ... + c[v] q^(m-v)) / q^(k+m): the numerator has a
     nonzero constant term, so the pair is canonical without a gcd.
     """
+    if not p:  # a coefficient that cancelled inside the DAG
+        return QScalar.zero()
     half = 1 << (bits - 1)
     if -half < p < half:
         return _from_qpow((p,), k)
@@ -423,38 +424,23 @@ def _decode(p, bits, k=0):
     return _from_qpow(num, k + v + digits - 1)
 
 
-@functools.cache
-def _factor(r, bits):
-    """(r(2^bits), |r|_1) of a rule factor r."""
-    return _pack(r, bits), sum(map(abs, r))
+_factor = functools.cache(_pack)  # r(2^bits) of a rule factor r
 
 
-def _combine(out, memo, bound, bits):
-    """The packed normal form of a branch site and a bound on its coefficients.
+def _combine(out, memo, bits):
+    """The packed normal form of a branch site.
 
     out lists the site's edges (k, r, child): the site is the sum of
-    t^k * r * child.  The bound is sum of |r|_1 * bound[child], which also
-    bounds every partial sum, so while it stays below 2^(bits-1) a packed
-    sum is zero exactly when its polynomial is.
+    t^k * r * child.  The site's bound, the sum of |r|_1 * bound[child],
+    also bounds every partial sum, so while it stays below 2^(bits-1) a
+    packed sum is zero exactly when its polynomial is.
     """
     nf = {}
-    top = 0
     for k, r, child in out:
-        pr, norm = _factor(r, bits)
-        top += norm * bound[child]
-        m = pr << (bits * k)
+        m = _factor(r, bits) << (bits * k)
         for mon, c in memo[child].items():
-            fc = m * c
-            acc = nf.get(mon)
-            if acc is None:
-                nf[mon] = fc
-            else:
-                acc += fc
-                if acc:
-                    nf[mon] = acc
-                else:
-                    del nf[mon]
-    return nf, top
+            nf[mon] = nf.get(mon, 0) + m * c
+    return nf
 
 
 def _rewrite(pres, terms, strategy="leftmost", rng=None):
@@ -467,24 +453,25 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
     p(2^B); a normal form is decoded and becomes a QScalar only at a root,
     where it is multiplied into the root's coefficient.
 
-    Normal forms of intermediate words are cached for the duration of the
-    call, so branches that reconverge on the same word are expanded once
-    instead of once per path.  The strategy's intern function chooses the
-    redexes: it follows single-branch rule chains inline and registers the
-    word it stops at, a branch site or a normal word, returning (k, key)
-    with word = t^k * key's word modulo the relations.  Only branch sites
-    become nodes of the evaluation DAG, evaluated in post-order at
-    B = _START_BITS.  Each node carries a bound on its coefficients; if a
-    root's bound reaches 2^(B-1), the recorded post-order is evaluated
-    again at the least B that fits, without walking any word again.
+    The call runs in three passes.  Build: the strategy's intern function
+    chooses the redexes; it follows single-branch rule chains inline and
+    registers the word it stops at, a branch site or a normal word,
+    returning (k, key) with word = t^k * key's word modulo the relations.
+    Words are cached for the duration of the call, so branches that
+    reconverge on the same word are expanded once instead of once per
+    path.  A branch site is finished once all its children are; it then
+    gets the bound sum of |r|_1 * bound[child] on its coefficients and
+    joins the post-order.  Evaluate: B is the least multiple of 8 above
+    the bit length of the largest root bound, and each branch site is
+    combined once, in post-order.  Decode: at the roots.
     """
     table, width, codes, is_redex = _compiled(pres)
     n = pres.n
-    memo = {}   # key -> {Monomial: packed coefficient}; None while a branch site is pending
-    bound = {}  # key -> a bound on every |coefficient| of memo[key]
+    memo = {}   # key -> {Monomial: packed coefficient}; None until a branch site is evaluated
+    bound = {}  # key -> a bound on every |coefficient| of memo[key], once finished
     raw = {}    # key -> branch list: branch site found, not yet expanded
     edges = {}  # key -> [(k, r, child key)]: expanded
-    order = []  # the evaluated branch sites, in post-order
+    order = []  # the finished branch sites, in post-order
     todo = []
 
     def register(key, word, s, branches):
@@ -517,10 +504,9 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
         k, key = intern(word, s)
         roots.append((coeff, k, key))
 
-    bits = _START_BITS
     while todo:
         key = todo[-1]
-        if memo[key] is not None:
+        if key in bound:
             todo.pop()
             continue
         if key in raw:
@@ -530,21 +516,23 @@ def _rewrite(pres, terms, strategy="leftmost", rng=None):
                 out.append((rk + k, r, child))
             edges[key] = out
             continue
-        out = edges[key]
-        missing = [child for _, _, child in out if memo[child] is None]
-        if missing:
-            todo.extend(missing)
-            continue
-        memo[key], bound[key] = _combine(out, memo, bound, bits)
-        order.append(key)
-        todo.pop()
+        depth = len(todo)
+        top = 0
+        for _, r, child in edges[key]:
+            if child in bound:
+                top += sum(map(abs, r)) * bound[child]
+            else:
+                todo.append(child)
+        if len(todo) == depth:
+            bound[key] = top
+            order.append(key)
+            todo.pop()
 
     # every node lies below a root, and bounds grow towards the roots
-    top = max([bound[key] for _, _, key in roots]) if order else 1
-    if top >> (bits - 1):
-        bits = (top.bit_length() + 8) // 8 * 8
-        for key in order:
-            memo[key] = _combine(edges[key], memo, bound, bits)[0]
+    top = max([bound[key] for _, _, key in roots], default=1)
+    bits = (top.bit_length() + 8) // 8 * 8
+    for key in order:
+        memo[key] = _combine(edges[key], memo, bits)
 
     result = {}
     for coeff, k, key in roots:

@@ -1,16 +1,15 @@
 """Rewriting engine: relation soundness, normal forms, involution, named elements."""
 
 import hashlib
-import json
 import random
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normal_form_corpus import replay_corpus
 from qwp import star_algebra
 from qwp.scalar import QScalar
 from qwp.star_algebra import (
@@ -152,30 +151,8 @@ def test_strategy_independence_sample():
         assert left == rand, f"strategies disagree on {word}"
 
 
-def _letter(token):
-    if token in ("w", "w*"):
-        return Generator(token, -1)
-    return Generator("z*" if token.endswith("*") else "z", int(token[1:].rstrip("*")))
-
-
-def _replay_corpus(after_entry=None):
-    """Normalize every recorded word under both strategies against its record."""
-    corpus = json.loads((Path(__file__).parent / "data" / "normal_forms.json").read_text())
-    for trial, entry in enumerate(corpus["entries"]):
-        pres = AlgebraPresentation(*entry["presentation"])
-        word = [_letter(t) for t in entry["word"].split()]
-        for strategy in ("leftmost", "random"):
-            rng = random.Random(trial)
-            nf = normalize(word, pres, strategy=strategy, rng=rng)
-            assert str(nf) == entry["normal_form"], f"{strategy} differs on {entry['word']}"
-        # the random walk's rng calls, pinned by the next draw after them
-        assert rng.random() == entry["draw"], f"random walk draws differ on {entry['word']}"
-        if after_entry:
-            after_entry(entry)
-
-
 def test_recorded_normal_form_corpus():
-    _replay_corpus()
+    assert replay_corpus() == 322
 
 
 @pytest.mark.parametrize(
@@ -192,32 +169,45 @@ def test_wide_packed_normal_forms_keep_their_digest(k, digest):
     assert hashlib.sha256(str(nf).encode()).hexdigest() == digest
 
 
-def test_packed_evaluation_widens_past_a_small_start(monkeypatch):
-    # from B = 8 most coefficient bounds overflow; each such call must evaluate
-    # its DAG again at a wider B, and never decode a wrong coefficient
-    widths = []
-    widened = []
+def test_each_branch_site_is_combined_once_at_one_width(monkeypatch):
+    calls = []  # per _rewrite call: (bits, id of the edge list) of each combine
     combine = star_algebra._combine
+    rewrite = star_algebra._rewrite
 
-    def recording_combine(out, memo, bound, bits):
-        widths.append(bits)
-        return combine(out, memo, bound, bits)
+    def recording_combine(out, memo, bits):
+        calls[-1].append((bits, id(out)))
+        return combine(out, memo, bits)
 
-    def note_widening(entry):
-        if any(bits > 8 for bits in widths):
-            widened.append(entry["word"])
-        widths.clear()
+    def recording_rewrite(*args, **kwargs):
+        calls.append([])
+        return rewrite(*args, **kwargs)
 
-    # z0*^10 z0^10 peaks at |coefficient| 127 and decodes from B = 8 even
-    # unwidened; z0*^12 z0^12 peaks at 504 and does not
-    power = [z_star(0)] * 12 + [z(0)] * 12
-    want = normalize(power, S1)
-    monkeypatch.setattr(star_algebra, "_START_BITS", 8)
     monkeypatch.setattr(star_algebra, "_combine", recording_combine)
-    _replay_corpus(note_widening)
-    assert normalize(power, S1) == want and max(widths) > 8
-    assert " ".join(["z0*"] * 10 + ["z0"] * 10) in widened
-    assert len(widened) > 10
+    monkeypatch.setattr(star_algebra, "_rewrite", recording_rewrite)
+    replay_corpus()
+    assert len(calls) == 2 * 322 and any(calls)
+    for combined in calls:
+        assert len({bits for bits, _ in combined}) <= 1
+        # every edge list lives until its call ends, so equal ids mean one list
+        assert len({out for _, out in combined}) == len(combined)
+    # Every corpus word still decodes right at 8 bits narrower than its bound
+    # asks for, and even at a fixed 8 bits, so the corpus alone cannot show a
+    # width that is too small.  This word peaks at |coefficient| 504, which
+    # needs more than 8 bits; its digest is that of its normal form under the
+    # kernel that evaluated the DAG twice.
+    calls.clear()
+    nf = normalize([z_star(0)] * 12 + [z(0)] * 12, S1)
+    assert calls[0] and all(bits > 8 for bits, _ in calls[0])
+    want = "271a19791ffbfa01da0af60b105ba34ac7e28f27bf1bccca427fff04308070b9"
+    assert hashlib.sha256(str(nf).encode()).hexdigest() == want
+
+
+def test_a_cancelled_coefficient_decodes_to_zero():
+    mon = Monomial((1, 0), (0, 0), 0)
+    memo = {"A": {mon: 5}, "B": {mon: 5}}
+    assert star_algebra._combine([(0, (1,), "A"), (0, (-1,), "B")], memo, 8) == {mon: 0}
+    zero = star_algebra._decode(0, 8, 3)
+    assert zero == QScalar(0) and zero.num == ()
 
 
 PACKED_WIDTHS = (8, 16, 32, 64, 72)  # 72 has no memoryview format and decodes by slicing
