@@ -431,9 +431,10 @@ def _combine(out, memo, bits):
     """The packed normal form of a branch site.
 
     out lists the site's edges (k, r, child): the site is the sum of
-    t^k * r * child.  The site's bound, the sum of |r|_1 * bound[child],
-    also bounds every partial sum, so while it stays below 2^(bits-1) a
-    packed sum is zero exactly when its polynomial is.
+    t^k * r * child.  The bound _rewrite gives the site, the sum of
+    |r|_1 * bound[child], also bounds every partial sum; since it stays
+    below 2^(bits-1), each packed sum reads back as its polynomial, and is
+    zero exactly when the polynomial is.
     """
     nf = {}
     for k, r, child in out:
