@@ -58,8 +58,8 @@ INHOMOGENEOUS = "inhomogeneous"
 
 # Pair-count budget of a composed certificate.  The largest recorded call
 # has 64 pairs; at the budget, sphere (1,1,2) at degree 4 (256 pairs) takes
-# about 55 s and sphere (1,3) at degree 5 (243 pairs) about 2 minutes and
-# 210 MB (2 cores, Python 3.11).
+# about 15 s and 68 MB, and sphere (1,3) at degree 5 (243 pairs) about 35 s
+# and 134 MB (2 cores, Python 3.11.7).
 MAX_CERTIFICATE_PAIRS = 256
 
 _ONE = QScalar.one()

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 # Phi is a dense N(n+1)-square matrix, so lens_k_groups refuses larger
 # sizes before building it.  At size 1000 two weights take under a
-# second, while (2; 1,...,1) takes about 30 s.
+# second, while (2; 1,...,1) takes about 18 s and 58 MB (2 cores,
+# Python 3.11.7).
 MAX_LENS_SIZE = 1000
 
 # The teardrop sequences build delta with m rows, and the real one also

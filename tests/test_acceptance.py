@@ -1,48 +1,40 @@
 """Full verification battery, asserted check by check.
 
 One default `qwp suite` run (the battery of qwp.suite) is compared byte
-for byte with tests/data/suite_report.json, and each test then asserts
-its own check's entry of that report plus spot checks.  Exact claims
+for byte with its recorded report (corpora.replay_suite_report), and each
+test then asserts its own check's entry of that report plus spot checks.  Exact claims
 (K-theory, certificates, normal forms, sector support, distinctness) use
 zero tolerance; floating-point claims state theirs inline: interior
 relation residuals at 1e-12 and the tail-bound series at 1e-10.
 """
 
-import io
 import json
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 
-from qwp.cli import run_command
+from corpora import replay_suite_report
 from qwp.ktheory import LensDescriptor, lens_k_groups, real_teardrop_k, teardrop_k_groups
 from qwp.representations import RepSpec, TruncatedSpace, fredholm_trace, relation_residual
 from qwp.star_algebra import AlgebraPresentation, make_named_element
 from qwp.suite import SUITE_CHECKS
 
-RECORDED = Path(__file__).parent / "data" / "suite_report.json"
-
 
 @pytest.fixture(scope="module")
 def suite_run():
-    """Exit code and stdout of one default `qwp suite` run, shared by the module."""
-    stdout = io.StringIO()
-    code = run_command(["suite"], stdout=stdout, stderr=io.StringIO())
-    return code, stdout.getvalue()
+    """Stdout of one default `qwp suite` run, checked against its recorded bytes."""
+    return replay_suite_report()
 
 
 @pytest.fixture(scope="module")
 def checks(suite_run):
     """The run's check entries by name."""
-    return {entry["check"]: entry for entry in json.loads(suite_run[1])["checks"]}
+    return {entry["check"]: entry for entry in json.loads(suite_run)["checks"]}
 
 
-def test_suite_report_is_recorded_bytes(suite_run, checks):
-    code, text = suite_run
-    assert code == 0
-    assert text == RECORDED.read_text(encoding="utf-8")
+def test_suite_report_is_recorded_bytes(checks):
+    # the bytes are compared when the suite_run fixture replays the suite
     assert list(checks) == [name for name, _ in SUITE_CHECKS]
 
 

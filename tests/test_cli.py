@@ -1,7 +1,6 @@
 """Command-line layer: grammar, descriptors, reports, schemas, exit codes."""
 
 import argparse
-import io
 import json
 import os
 import subprocess
@@ -15,6 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpora import (
+    replay_certify_reports,
+    replay_error_reports,
+    replay_rep_reports,
+    run_streams,
+)
 from qwp import cli, grading, ktheory, star_algebra
 from qwp.cli import (
     RunConfig,
@@ -24,7 +29,6 @@ from qwp.cli import (
     parse_config_file,
     parse_rational,
     report_schema,
-    run_command,
 )
 from qwp.grading import ResolutionOfIdentity, verify_resolution
 from qwp.parsing import (
@@ -59,13 +63,6 @@ def run(argv):
     """Exit code, decoded report (or None) and the raw bytes of stdout."""
     code, text, _ = run_streams(argv)
     return code, json.loads(text) if text else None, text
-
-
-def run_streams(argv):
-    """Exit code and everything written to the stdout and stderr given to the call."""
-    out, err = io.StringIO(), io.StringIO()
-    code = run_command(argv, stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
 
 
 # -- expression grammar --------------------------------------------------------
@@ -720,31 +717,17 @@ def test_reports_are_byte_identical():
 
 
 def test_recorded_certify_reports():
-    corpus = json.loads((Path(__file__).parent / "data" / "certify_reports.json").read_text())
-    for entry in corpus["entries"]:
-        recorded = (entry["code"], entry["stdout"], entry["stderr"])
-        assert run_streams(entry["argv"]) == recorded, entry["argv"]
+    assert replay_certify_reports() == 75
 
 
 def test_recorded_rep_reports():
-    # the floats in these reports pin the representation arithmetic bit for bit
-    corpus = json.loads((Path(__file__).parent / "data" / "rep_reports.json").read_text())
-    for entry in corpus["entries"]:
-        recorded = (entry["code"], entry["stdout"], entry["stderr"])
-        assert run_streams(entry["argv"]) == recorded, entry["argv"]
+    assert replay_rep_reports() == 5
 
 
 def test_error_reports_name_the_full_command():
-    # recorded when a diagnostic named only the group ("ktheory" for ktheory lens);
-    # now it names the command as the ok report does, and no other byte moves
-    corpus = json.loads((Path(__file__).parent / "data" / "error_reports.json").read_text())
-    for entry in corpus["entries"]:
-        argv = entry["argv"]
-        command = " ".join(argv[:2]) if argv[0] in ("grading", "ktheory", "rep") else argv[0]
-        stdout = entry["stdout"].replace(f'"command": "{argv[0]}"', f'"command": "{command}"', 1)
-        assert run_streams(argv) == (entry["code"], stdout, entry["stderr"]), argv
-        report = json.loads(stdout)
-        assert report["command"] == command
+    reports = replay_error_reports()
+    assert len(reports) == 11
+    for report in reports:
         jsonschema.validate(report, report_schema("error"))
 
 

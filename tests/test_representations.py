@@ -1,17 +1,15 @@
 """Truncated representation models: assembly, residuals, sectors, traces."""
 
 import cmath
-import hashlib
-import json
 import math
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpora import replay_representations
 from qwp.parsing import parse_expression
 from qwp.scalar import PoleError, QScalar
 from qwp.star_algebra import (
@@ -19,7 +17,6 @@ from qwp.star_algebra import (
     W_STAR,
     AlgebraElement,
     AlgebraPresentation,
-    Generator,
     InvalidGeneratorError,
     adjoint,
     make_named_element,
@@ -831,51 +828,5 @@ def test_zn_spectrum_modulus_phase_free():
         assert abs(abs(a) - abs(b)) <= TOL
 
 
-def _recorded_spec(entry):
-    lam = entry["lam"]
-    lam = tuple(lam) if isinstance(lam, list) else complex(lam)
-    q0 = Fraction(entry["q0"])
-    return RepSpec(entry["family"], q0, lam=lam, k=entry["k"], sign=entry["sign"])
-
-
-def _recorded_pres(entry):
-    kind = "sigma" if entry["family"] == "sigma_pi" else "sphere"
-    return AlgebraPresentation(kind, entry["n"])
-
-
-def _coo_digest(op):
-    return hashlib.sha256(json.dumps(op.to_coo()).encode()).hexdigest()
-
-
-def _sector_summary(info):
-    return {"off_sector_entries": info["off_sector_entries"], "max_off_sector": repr(info["max_off_sector"])}
-
-
 def test_recorded_representation_corpus():
-    corpus = json.loads((Path(__file__).parent / "data" / "representations.json").read_text())
-    for e in corpus["residuals"]:
-        space = TruncatedSpace(e["n"], e["cutoff"])
-        out = relation_residual(_recorded_pres(e), _recorded_spec(e), space)
-        per = {name: repr(v) for name, v in out["per_relation"].items()}
-        assert per == e["per_relation"], f"residuals differ for {e}"
-    for e in corpus["traces"]:
-        x = parse_expression(e["element"], AlgebraPresentation.sphere(e["n"]))
-        out = fredholm_trace(x, e["n"], e["m"], Fraction(e["q0"]), e["cutoff"])
-        assert repr(out["partial_trace"]) == e["partial_trace"], f"trace differs for {e}"
-    for e in corpus["operators"]:
-        sector = None if e["sector"] is None else tuple(e["sector"])
-        space = TruncatedSpace(e["n"], e["cutoff"], sector)
-        x = parse_expression(e["element"], _recorded_pres(e))
-        op = apply_element(x, _recorded_spec(e), space)
-        got = (len(op.entries), _coo_digest(op))
-        assert got == (e["nonzeros"], e["sha256"]), f"operator differs for {e}"
-    for e in corpus["generators"]:
-        space = TruncatedSpace(e["n"], e["cutoff"])
-        op = rep_generator(_recorded_spec(e), Generator(*e["letter"]), space)
-        got = (op.shift, len(op.entries), _coo_digest(op))
-        assert got == (e["shift"], e["nonzeros"], e["sha256"]), f"generator differs for {e}"
-    for e in corpus["sectors"]:
-        out = sector_split_check(_recorded_spec(e), e["m"], TruncatedSpace(e["n"], e["cutoff"]))
-        summary = {label: _sector_summary(info) for label, info in out["generators"].items()}
-        assert summary == e["generators"], f"sector summaries differ for {e}"
-        assert _sector_summary(out["control_z0"]) == e["control_z0"], f"control differs for {e}"
+    assert replay_representations() == 136

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normal_form_corpus import replay_corpus
+from corpora import replay_normal_forms
 from qwp import star_algebra
 from qwp.scalar import QScalar
 from qwp.star_algebra import (
@@ -152,7 +152,7 @@ def test_strategy_independence_sample():
 
 
 def test_recorded_normal_form_corpus():
-    assert replay_corpus() == 322
+    assert replay_normal_forms() == 322
 
 
 @pytest.mark.parametrize(
@@ -184,7 +184,7 @@ def test_each_branch_site_is_combined_once_at_one_width(monkeypatch):
 
     monkeypatch.setattr(star_algebra, "_combine", recording_combine)
     monkeypatch.setattr(star_algebra, "_rewrite", recording_rewrite)
-    replay_corpus()
+    replay_normal_forms()
     assert len(calls) == 2 * 322 and any(calls)
     for combined in calls:
         assert len({bits for bits, _ in combined}) <= 1
